@@ -1,9 +1,9 @@
 #include "core/collaborative.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/signature.hh"
+#include "core/training_set.hh"
 #include "ml/metrics.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -57,10 +57,11 @@ CollaborativeSimulation::anchorOf(std::size_t device_idx) const
 {
     if (!anchorNormalization_)
         return 1.0;
-    double log_sum = 0.0;
+    std::vector<double> sig_lat;
+    sig_lat.reserve(signature_.size());
     for (std::size_t s : signature_)
-        log_sum += std::log(ctx_.latencyMs(device_idx, s));
-    return std::exp(log_sum / static_cast<double>(signature_.size()));
+        sig_lat.push_back(ctx_.latencyMs(device_idx, s));
+    return signatureAnchor(sig_lat);
 }
 
 std::vector<float>
@@ -111,45 +112,37 @@ CollaborativeSimulation::run(const CollaborativeConfig &config) const
     const std::size_t rounds =
         std::min(config.max_devices, order.size());
 
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + signature_.size();
     const auto per_device = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                config.contribution_fraction
                * static_cast<double>(nonSignature_.size())));
 
-    ml::Dataset train(width);
-    std::vector<float> row(width);
+    std::vector<std::vector<float>> device_rows;
+    std::vector<PairRow> rows;
     std::vector<CollaborativeStep> steps;
     steps.reserve(rounds);
-    std::size_t measurements = 0;
 
     for (std::size_t t = 0; t < rounds; ++t) {
         const std::size_t d = order[t];
-        const auto sig = signatureLatencies(d);
         const double anchor = anchorOf(d);
+        device_rows.push_back(signatureLatencies(d));
         // The signature measurements are contributions too: they are
         // both the device's representation and training rows ("the
         // training set comprises all latency measurements contributed
         // by previously chosen hardware devices", Section V-A).
-        for (std::size_t s : signature_) {
-            fillRow(row, s, sig);
-            train.addRow(row, ctx_.latencyMs(d, s) / anchor);
-            ++measurements;
-        }
+        for (std::size_t s : signature_)
+            rows.push_back({s, t, ctx_.latencyMs(d, s) / anchor});
         // Plus a random slice of the remaining network set.
         Rng dev_rng = rng.fork(t);
         const auto picks = dev_rng.sampleWithoutReplacement(
             nonSignature_.size(), per_device);
         for (std::size_t p : picks) {
             const std::size_t n = nonSignature_[p];
-            fillRow(row, n, sig);
-            train.addRow(row, ctx_.latencyMs(d, n) / anchor);
-            ++measurements;
+            rows.push_back({n, t, ctx_.latencyMs(d, n) / anchor});
         }
 
         ml::GradientBoostedTrees model(config.gbt);
-        model.train(train);
+        model.train(pairDataset(encodings_, device_rows, rows));
 
         double sum_r2 = 0.0;
         for (std::size_t k = 0; k <= t; ++k)
@@ -157,7 +150,7 @@ CollaborativeSimulation::run(const CollaborativeConfig &config) const
         CollaborativeStep step;
         step.num_devices = t + 1;
         step.avg_r2 = sum_r2 / static_cast<double>(t + 1);
-        step.total_measurements = measurements;
+        step.total_measurements = rows.size();
         steps.push_back(step);
     }
     return steps;
@@ -221,34 +214,29 @@ CollaborativeSimulation::collaborativeR2ForDevice(
         members.push_back(others[i]);
     }
 
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + signature_.size();
     const auto per_device = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                config.contribution_fraction
                * static_cast<double>(nonSignature_.size())));
 
-    ml::Dataset train(width);
-    std::vector<float> row(width);
+    std::vector<std::vector<float>> device_rows;
+    std::vector<PairRow> rows;
     for (std::size_t t = 0; t < members.size(); ++t) {
         const std::size_t d = members[t];
-        const auto sig = signatureLatencies(d);
         const double anchor = anchorOf(d);
-        for (std::size_t s : signature_) {
-            fillRow(row, s, sig);
-            train.addRow(row, ctx_.latencyMs(d, s) / anchor);
-        }
+        device_rows.push_back(signatureLatencies(d));
+        for (std::size_t s : signature_)
+            rows.push_back({s, t, ctx_.latencyMs(d, s) / anchor});
         Rng dev_rng = rng.fork(t);
         const auto picks = dev_rng.sampleWithoutReplacement(
             nonSignature_.size(), per_device);
         for (std::size_t p : picks) {
             const std::size_t n = nonSignature_[p];
-            fillRow(row, n, sig);
-            train.addRow(row, ctx_.latencyMs(d, n) / anchor);
+            rows.push_back({n, t, ctx_.latencyMs(d, n) / anchor});
         }
     }
     ml::GradientBoostedTrees model(config.gbt);
-    model.train(train);
+    model.train(pairDataset(encodings_, device_rows, rows));
     return deviceR2(model, device_idx);
 }
 

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <set>
 
+#include "core/training_set.hh"
 #include "util/error.hh"
 
 namespace gcm::core
@@ -83,30 +84,31 @@ SignatureCostModel::train(const std::vector<dnn::Graph> &suite,
     for (std::size_t s : model.signature_)
         is_sig[s] = true;
 
+    // Each network is encoded once and each device's signature tail
+    // built once; the rows only pair their keys (core/training_set.hh).
     model.anchorNormalization_ = config.anchor_normalization;
-    const std::size_t net_f = model.encoder_->numFeatures();
-    const std::size_t width = net_f + model.signature_.size();
-    ml::Dataset train_set(width);
-    std::vector<float> row(width);
+    std::vector<std::vector<float>> networks;
+    networks.reserve(suite.size());
+    for (const auto &g : suite)
+        networks.push_back(model.encoder_->encode(g));
+    std::vector<std::vector<float>> devices(
+        num_devices, std::vector<float>(model.signature_.size()));
+    std::vector<PairRow> rows;
+    rows.reserve(num_devices * (suite.size() - model.signature_.size()));
     for (std::size_t d = 0; d < num_devices; ++d) {
         std::vector<double> sig_lat;
         sig_lat.reserve(model.signature_.size());
         for (std::size_t s : model.signature_)
             sig_lat.push_back(latencies[s][d]);
-        const double anchor = model.anchorOf(sig_lat);
-        for (std::size_t k = 0; k < sig_lat.size(); ++k)
-            row[net_f + k] = static_cast<float>(sig_lat[k] / anchor);
+        const double anchor = model.signatureTail(sig_lat, devices[d].data());
         for (std::size_t n = 0; n < suite.size(); ++n) {
-            if (is_sig[n])
-                continue;
-            const auto enc = model.encoder_->encode(suite[n]);
-            std::copy(enc.begin(), enc.end(), row.begin());
-            train_set.addRow(row, latencies[n][d] / anchor);
+            if (!is_sig[n])
+                rows.push_back({n, d, latencies[n][d] / anchor});
         }
     }
 
     model.booster_ = ml::GradientBoostedTrees(config.gbt);
-    model.booster_.train(train_set);
+    model.booster_.train(pairDataset(networks, devices, rows));
     return model;
 }
 
@@ -114,16 +116,8 @@ double
 SignatureCostModel::anchorOf(
     const std::vector<double> &signature_latencies_ms) const
 {
-    if (!anchorNormalization_)
-        return 1.0;
-    double log_sum = 0.0;
-    for (double ms : signature_latencies_ms) {
-        if (ms <= 0.0)
-            fatal("signature latency must be positive, got ", ms);
-        log_sum += std::log(ms);
-    }
-    return std::exp(log_sum
-                    / static_cast<double>(signature_latencies_ms.size()));
+    return anchorNormalization_ ? signatureAnchor(signature_latencies_ms)
+                                : 1.0;
 }
 
 double
@@ -132,8 +126,7 @@ SignatureCostModel::predictMs(
     const std::vector<double> &signature_latencies_ms) const
 {
     std::vector<float> row(featureWidth());
-    const auto enc = encoder_->encode(network);
-    std::copy(enc.begin(), enc.end(), row.begin());
+    encoder_->encodeInto(network, row.data());
     const double anchor = finishQueryRow(signature_latencies_ms,
                                          row.data());
     // Compiled and node-walker paths are bit-identical by the
@@ -227,6 +220,15 @@ SignatureCostModel::serialize(std::ostream &os) const
     booster_.serialize(os);
 }
 
+namespace
+{
+
+/** Largest signature and layer counts an artifact may declare. */
+constexpr std::size_t kMaxSignature = 4096;
+constexpr std::size_t kMaxLayers = 4096;
+
+} // namespace
+
 SignatureCostModel
 SignatureCostModel::deserialize(std::istream &is)
 {
@@ -242,21 +244,30 @@ SignatureCostModel::deserialize(std::istream &is)
     model.anchorNormalization_ = anchor_flag != 0;
     std::size_t max_layers = 0, sig_count = 0;
     if (!(is >> tag >> max_layers) || tag != "max_layers"
-        || max_layers == 0) {
+        || max_layers == 0 || max_layers > kMaxLayers) {
         fatal("SignatureCostModel::deserialize: bad max_layers");
     }
     if (!(is >> tag >> sig_count) || tag != "signature"
-        || sig_count == 0) {
+        || sig_count == 0 || sig_count > kMaxSignature) {
         fatal("SignatureCostModel::deserialize: bad signature count");
     }
     model.encoder_ = std::make_unique<NetworkEncoder>(max_layers);
-    model.signature_.resize(sig_count);
-    model.signatureNames_.resize(sig_count);
     for (std::size_t k = 0; k < sig_count; ++k) {
-        if (!(is >> model.signature_[k] >> model.signatureNames_[k]))
+        std::size_t index = 0;
+        std::string name;
+        if (!(is >> index >> name))
             fatal("SignatureCostModel::deserialize: bad signature row");
+        model.signature_.push_back(index);
+        model.signatureNames_.push_back(std::move(name));
     }
     model.booster_ = ml::GradientBoostedTrees::deserialize(is);
+    // Query rows are featureWidth() floats wide: a booster of any
+    // other width would read past them.
+    if (model.booster_.featureImportance().size() != model.featureWidth()) {
+        fatal("SignatureCostModel::deserialize: booster has ",
+              model.booster_.featureImportance().size(),
+              " features but the layout gives ", model.featureWidth());
+    }
     return model;
 }
 

@@ -173,7 +173,7 @@ class SignatureCostModel
   private:
     SignatureCostModel() = default;
 
-    /** Geometric mean of a device's signature latencies. */
+    /** signatureAnchor(), or 1 when anchor normalization is off. */
     double anchorOf(const std::vector<double> &signature_latencies_ms)
         const;
 

@@ -1,9 +1,7 @@
 #include "core/evaluation.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/hw_features.hh"
+#include "core/training_set.hh"
 #include "ml/metrics.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -46,12 +44,21 @@ EvaluationHarness::EvaluationHarness(const ExperimentContext &ctx,
 namespace
 {
 
+/**
+ * Score a booster on a (network, device) test set. `anchors` (one per
+ * row, or empty for 1) scale targets and predictions back to ms.
+ */
 ModelEvaluation
-score(const ml::GradientBoostedTrees &model, const ml::Dataset &test)
+score(const ml::GradientBoostedTrees &model, const ml::BlockedDataset &test,
+      const std::vector<double> &anchors)
 {
     ModelEvaluation eval;
     eval.y_true = test.labels();
-    eval.y_pred = model.predict(test);
+    eval.y_pred = predictPairs(model.compile(), test);
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+        eval.y_true[i] *= anchors[i];
+        eval.y_pred[i] *= anchors[i];
+    }
     eval.r2 = ml::r2Score(eval.y_true, eval.y_pred);
     eval.rmse_ms = ml::rmse(eval.y_true, eval.y_pred);
     eval.mape_pct = ml::mape(eval.y_true, eval.y_pred);
@@ -67,31 +74,21 @@ EvaluationHarness::evalStaticFeatureModel(const DeviceSplit &split,
     GCM_ASSERT(!split.train.empty() && !split.test.empty(),
                "evalStaticFeatureModel: empty split");
     const StaticHardwareEncoder hw;
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + hw.numFeatures();
 
     auto build = [&](const std::vector<std::size_t> &devices) {
-        ml::Dataset ds(width);
-        std::vector<float> row(width);
+        std::vector<std::vector<float>> hw_rows;
+        std::vector<PairRow> rows;
         for (std::size_t d : devices) {
-            const auto hw_vec =
-                hw.encode(ctx_.fleet().device(d), ctx_.fleet());
-            for (std::size_t n = 0; n < ctx_.numNetworks(); ++n) {
-                std::copy(encodings_[n].begin(), encodings_[n].end(),
-                          row.begin());
-                std::copy(hw_vec.begin(), hw_vec.end(),
-                          row.begin() + static_cast<std::ptrdiff_t>(net_f));
-                ds.addRow(row, ctx_.latencyMs(d, n));
-            }
+            hw_rows.push_back(hw.encode(ctx_.fleet().device(d), ctx_.fleet()));
+            for (std::size_t n = 0; n < ctx_.numNetworks(); ++n)
+                rows.push_back({n, hw_rows.size() - 1, ctx_.latencyMs(d, n)});
         }
-        return ds;
+        return pairDataset(encodings_, hw_rows, rows);
     };
 
-    const ml::Dataset train = build(split.train);
-    const ml::Dataset test = build(split.test);
     ml::GradientBoostedTrees model(params);
-    model.train(train);
-    return score(model, test);
+    model.train(build(split.train));
+    return score(model, build(split.test), {});
 }
 
 EvaluationHarness::SignatureData
@@ -99,8 +96,6 @@ EvaluationHarness::buildSignatureDataset(
     const std::vector<std::size_t> &devices,
     const std::vector<std::size_t> &signature) const
 {
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + signature.size();
     std::vector<bool> is_signature(ctx_.numNetworks(), false);
     for (std::size_t s : signature) {
         GCM_ASSERT(s < ctx_.numNetworks(),
@@ -108,37 +103,31 @@ EvaluationHarness::buildSignatureDataset(
         is_signature[s] = true;
     }
 
-    SignatureData out{ml::Dataset(width), {}};
-    std::vector<float> row(width);
+    std::vector<std::vector<float>> device_rows;
+    std::vector<PairRow> rows;
+    std::vector<double> anchors;
     for (std::size_t d : devices) {
         // The device's hardware representation: measured latencies of
         // the signature networks on it, optionally rescaled by the
         // device anchor (geometric mean of the signature latencies).
-        double anchor = 1.0;
-        if (options_.anchor_normalization) {
-            double log_sum = 0.0;
-            for (std::size_t s : signature) {
-                const double ms = ctx_.latencyMs(d, s);
-                GCM_ASSERT(ms > 0.0, "non-positive signature latency");
-                log_sum += std::log(ms);
-            }
-            anchor = std::exp(log_sum
-                              / static_cast<double>(signature.size()));
-        }
-        for (std::size_t k = 0; k < signature.size(); ++k) {
-            row[net_f + k] = static_cast<float>(
-                ctx_.latencyMs(d, signature[k]) / anchor);
-        }
+        std::vector<double> sig_lat;
+        for (std::size_t s : signature)
+            sig_lat.push_back(ctx_.latencyMs(d, s));
+        const double anchor =
+            options_.anchor_normalization ? signatureAnchor(sig_lat) : 1.0;
+        std::vector<float> rep;
+        for (double ms : sig_lat)
+            rep.push_back(static_cast<float>(ms / anchor));
+        device_rows.push_back(std::move(rep));
         for (std::size_t n = 0; n < ctx_.numNetworks(); ++n) {
             if (is_signature[n])
                 continue; // paper: signature rows are discarded
-            std::copy(encodings_[n].begin(), encodings_[n].end(),
-                      row.begin());
-            out.dataset.addRow(row, ctx_.latencyMs(d, n) / anchor);
-            out.anchors.push_back(anchor);
+            rows.push_back({n, device_rows.size() - 1,
+                            ctx_.latencyMs(d, n) / anchor});
+            anchors.push_back(anchor);
         }
     }
-    return out;
+    return {pairDataset(encodings_, device_rows, rows), std::move(anchors)};
 }
 
 ModelEvaluation
@@ -156,16 +145,7 @@ EvaluationHarness::evalWithSignature(
     ml::GradientBoostedTrees model(params);
     model.train(train.dataset);
     // Denormalize: metrics are always reported in milliseconds.
-    ModelEvaluation eval;
-    eval.y_true = test.dataset.labels();
-    eval.y_pred = model.predict(test.dataset);
-    for (std::size_t i = 0; i < eval.y_true.size(); ++i) {
-        eval.y_true[i] *= test.anchors[i];
-        eval.y_pred[i] *= test.anchors[i];
-    }
-    eval.r2 = ml::r2Score(eval.y_true, eval.y_pred);
-    eval.rmse_ms = ml::rmse(eval.y_true, eval.y_pred);
-    eval.mape_pct = ml::mape(eval.y_true, eval.y_pred);
+    ModelEvaluation eval = score(model, test.dataset, test.anchors);
     eval.signature = signature;
     return eval;
 }

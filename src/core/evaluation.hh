@@ -106,14 +106,15 @@ class EvaluationHarness
   private:
     struct SignatureData
     {
-        ml::Dataset dataset;
+        ml::BlockedDataset dataset;
         /** Per-row anchor (1.0 when normalization is off). */
         std::vector<double> anchors;
     };
 
     /**
      * Assemble the (network encoding ++ signature latencies) dataset
-     * over a device set, skipping signature networks.
+     * over a device set, skipping signature networks. Device key k is
+     * devices[k].
      */
     SignatureData buildSignatureDataset(
         const std::vector<std::size_t> &devices,

@@ -64,17 +64,25 @@ NetworkEncoder::numFeatures() const
 std::vector<float>
 NetworkEncoder::encode(const dnn::Graph &graph) const
 {
+    std::vector<float> out(numFeatures());
+    encodeInto(graph, out.data());
+    return out;
+}
+
+void
+NetworkEncoder::encodeInto(const dnn::Graph &graph, float *out) const
+{
     const std::size_t depth = countEncodableNodes(graph);
     if (depth > maxLayers_) {
         fatal("NetworkEncoder: network '", graph.name(), "' has ", depth,
               " layers but the fitted layout allows ", maxLayers_);
     }
-    std::vector<float> out(numFeatures(), 0.0f);
+    std::fill(out, out + numFeatures(), 0.0f);
     std::size_t layer = 0;
     for (const auto &node : graph.nodes()) {
         if (node.kind == dnn::OpKind::Input)
             continue;
-        float *slot = out.data() + layer * featuresPerLayer();
+        float *slot = out + layer * featuresPerLayer();
         // One-hot operator id (kinds start after Input).
         const auto kind_idx =
             static_cast<std::size_t>(node.kind) - 1;
@@ -95,7 +103,6 @@ NetworkEncoder::encode(const dnn::Graph &graph) const
             static_cast<float>(node.params.fused_activation);
         ++layer;
     }
-    return out;
 }
 
 std::vector<std::string>

@@ -44,6 +44,9 @@ class NetworkEncoder
      */
     std::vector<float> encode(const dnn::Graph &graph) const;
 
+    /** encode() into out[0..numFeatures()) (a query row's prefix). */
+    void encodeInto(const dnn::Graph &graph, float *out) const;
+
     /** Human-readable feature names (layerNNN.<field>). */
     std::vector<std::string> featureNames() const;
 

@@ -1,5 +1,7 @@
 #include "ml/dataset.hh"
 
+#include <algorithm>
+
 #include "util/error.hh"
 
 namespace gcm::ml
@@ -61,6 +63,38 @@ Dataset::setFeatureNames(std::vector<std::string> names)
     GCM_ASSERT(names.size() == numFeatures_,
                "Dataset::setFeatureNames: size mismatch");
     featureNames_ = std::move(names);
+}
+
+BlockedDataset::BlockedDataset(std::vector<ColumnBlock> blocks,
+                               std::vector<double> labels)
+    : blocks_(std::move(blocks)), labels_(std::move(labels))
+{
+    GCM_ASSERT(!blocks_.empty(), "BlockedDataset: no blocks");
+    for (const ColumnBlock &b : blocks_) {
+        GCM_ASSERT(b.width > 0 && b.table.size() % b.width == 0,
+                   "BlockedDataset: ragged block table");
+        GCM_ASSERT(b.keys.size() == labels_.size(),
+                   "BlockedDataset: one key per row required");
+        for (std::uint32_t k : b.keys)
+            GCM_ASSERT(k < b.numKeys(), "BlockedDataset: key out of range");
+        numFeatures_ += b.width;
+    }
+}
+
+Dataset
+BlockedDataset::toDense() const
+{
+    Dataset out(numFeatures_);
+    std::vector<float> row(numFeatures_);
+    for (std::size_t i = 0; i < numRows(); ++i) {
+        float *dst = row.data();
+        for (const ColumnBlock &b : blocks_) {
+            const float *src = b.keyRow(b.keys[i]);
+            dst = std::copy(src, src + b.width, dst);
+        }
+        out.addRow(row, labels_[i]);
+    }
+    return out;
 }
 
 } // namespace gcm::ml

@@ -1,12 +1,15 @@
 /**
  * @file
- * Dense row-major regression dataset shared by all learners.
+ * Regression datasets shared by all learners: the dense row-major
+ * Dataset, and the BlockedDataset whose column blocks store each
+ * distinct value row once.
  */
 
 #ifndef GCM_ML_DATASET_HH
 #define GCM_ML_DATASET_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,60 @@ class Dataset
     std::vector<float> values_;
     std::vector<double> labels_;
     std::vector<std::string> featureNames_;
+};
+
+/**
+ * A run of columns whose values depend on a row only through the
+ * row's key: `table` holds one row of `width` values per key, and
+ * dataset row i reads table row `keys[i]`.
+ */
+struct ColumnBlock
+{
+    std::size_t width = 0;
+    /** Value table, numKeys() rows of `width` floats, row-major. */
+    std::vector<float> table;
+    /** Table row of each dataset row. */
+    std::vector<std::uint32_t> keys;
+
+    std::size_t numKeys() const { return table.size() / width; }
+
+    /** The `width` values of table row `key`. */
+    const float *keyRow(std::uint32_t key) const
+    {
+        return table.data() + static_cast<std::size_t>(key) * width;
+    }
+};
+
+/**
+ * A regression dataset stored as column blocks. Row i is the
+ * concatenation, in block order, of each block's table row for key i.
+ * A (network ‖ device) training set is two blocks: its dense form
+ * repeats every network's encoding once per device, this form stores
+ * it once. toDense() gives the equivalent Dataset.
+ */
+class BlockedDataset
+{
+  public:
+    /**
+     * @pre every block has width > 0, a whole number of table rows,
+     *      one key per label and every key inside its table.
+     */
+    BlockedDataset(std::vector<ColumnBlock> blocks,
+                   std::vector<double> labels);
+
+    std::size_t numRows() const { return labels_.size(); }
+    std::size_t numFeatures() const { return numFeatures_; }
+
+    const std::vector<ColumnBlock> &blocks() const { return blocks_; }
+    const std::vector<double> &labels() const { return labels_; }
+
+    /** The equivalent dense dataset (one materialized row per row). */
+    Dataset toDense() const;
+
+  private:
+    std::vector<ColumnBlock> blocks_;
+    std::vector<double> labels_;
+    std::size_t numFeatures_ = 0;
 };
 
 } // namespace gcm::ml

@@ -23,37 +23,57 @@ GradientBoostedTrees::GradientBoostedTrees(GbtParams params)
                "GBT: subsample out of (0, 1]");
 }
 
+namespace
+{
+
+template <typename Data>
+BinnedMatrix
+binForTraining(const Data &data, std::size_t max_bins)
+{
+    GCM_ASSERT(data.numRows() > 0, "GBT: empty training set");
+    const obs::TraceSpan bin_span("gbt.bin");
+    return BinnedMatrix(data, max_bins);
+}
+
+} // namespace
+
 void
 GradientBoostedTrees::train(const Dataset &data)
 {
-    trainImpl(data, nullptr);
+    const obs::TraceSpan train_span("gbt.train");
+    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
+              nullptr);
+}
+
+void
+GradientBoostedTrees::train(const BlockedDataset &data)
+{
+    const obs::TraceSpan train_span("gbt.train");
+    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
+              nullptr);
 }
 
 void
 GradientBoostedTrees::train(const Dataset &data, const Dataset &eval)
 {
-    trainImpl(data, &eval);
+    const obs::TraceSpan train_span("gbt.train");
+    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
+              &eval);
 }
 
 void
-GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
+GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
+                                const std::vector<double> &labels,
+                                const Dataset *eval)
 {
-    GCM_ASSERT(data.numRows() > 0, "GBT: empty training set");
-    const obs::TraceSpan train_span("gbt.train");
     trees_.clear();
     evalHistory_.clear();
-    featureGain_.assign(data.numFeatures(), 0.0);
+    featureGain_.assign(binned.numFeatures(), 0.0);
 
-    const std::size_t n = data.numRows();
-    baseScore_ =
-        std::accumulate(data.labels().begin(), data.labels().end(), 0.0)
+    const std::size_t n = binned.numRows();
+    baseScore_ = std::accumulate(labels.begin(), labels.end(), 0.0)
         / static_cast<double>(n);
     trained_ = true;
-
-    const BinnedMatrix binned = [&] {
-        const obs::TraceSpan bin_span("gbt.bin");
-        return BinnedMatrix(data, params_.max_bins);
-    }();
 
     std::vector<double> preds(n, baseScore_);
     std::vector<float> grad(n);
@@ -84,7 +104,7 @@ GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
             // Squared-error objective: g = pred - y (unit hessian).
             const obs::TraceSpan grad_span("gbt.gradient");
             parallelFor(0, n, 4096, [&](std::size_t i) {
-                grad[i] = static_cast<float>(preds[i] - data.label(i));
+                grad[i] = static_cast<float>(preds[i] - labels[i]);
             });
         }
 
@@ -105,7 +125,7 @@ GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
             rows = all_rows;
         }
 
-        tree_gain.assign(data.numFeatures(), 0.0);
+        tree_gain.assign(binned.numFeatures(), 0.0);
         RegressionTree tree = [&] {
             const obs::TraceSpan tree_span("gbt.tree");
             return trainTree(binned, rows, grad, tree_cfg, &tree_rng,
@@ -205,8 +225,13 @@ GradientBoostedTrees::deserialize(std::istream &is)
         fatal("GBT::deserialize: malformed num_features line");
     if (!(is >> tag >> trees) || tag != "trees")
         fatal("GBT::deserialize: malformed trees line");
+    if (features > kMaxSerializedFeatures)
+        fatal("GBT::deserialize: feature count ", features, " exceeds ",
+              kMaxSerializedFeatures);
+    if (trees > kMaxSerializedTrees)
+        fatal("GBT::deserialize: tree count ", trees, " exceeds ",
+              kMaxSerializedTrees);
     model.featureGain_.assign(features, 0.0);
-    model.trees_.reserve(trees);
     for (std::size_t t = 0; t < trees; ++t) {
         model.trees_.push_back(RegressionTree::deserialize(is));
         for (const auto &node : model.trees_.back().nodes()) {

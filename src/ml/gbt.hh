@@ -46,6 +46,13 @@ class GradientBoostedTrees
     void train(const Dataset &data);
 
     /**
+     * Fit on a blocked dataset. Grows the same trees as
+     * train(data.toDense()) whenever the per-key gradient sums of the
+     * histogram kernel are exact (ml/tree.hh, DESIGN.md §4.5).
+     */
+    void train(const BlockedDataset &data);
+
+    /**
      * Fit with a held-out evaluation set; records RMSE on it after
      * every boosting round (see evalHistory()).
      */
@@ -96,7 +103,8 @@ class GradientBoostedTrees
     static GradientBoostedTrees deserialize(std::istream &is);
 
   private:
-    void trainImpl(const Dataset &data, const Dataset *eval);
+    void trainImpl(const BinnedMatrix &binned,
+                   const std::vector<double> &labels, const Dataset *eval);
 
     GbtParams params_;
     double baseScore_ = 0.0;

@@ -138,7 +138,9 @@ RandomForest::deserialize(std::istream &is)
         fatal("RandomForest::deserialize: malformed num_features line");
     if (!(is >> tag >> trees) || tag != "trees" || trees == 0)
         fatal("RandomForest::deserialize: malformed trees line");
-    model.trees_.reserve(trees);
+    if (trees > kMaxSerializedTrees)
+        fatal("RandomForest::deserialize: tree count ", trees,
+              " exceeds ", kMaxSerializedTrees);
     for (std::size_t t = 0; t < trees; ++t) {
         model.trees_.push_back(RegressionTree::deserialize(is));
         for (const auto &node : model.trees_.back().nodes()) {

@@ -82,8 +82,13 @@ RegressionTree::deserialize(std::istream &is)
     std::size_t count = 0;
     if (!(is >> tag >> count) || tag != "tree")
         fatal("RegressionTree::deserialize: expected 'tree <count>'");
-    std::vector<TreeNode> nodes(count);
-    for (auto &n : nodes) {
+    if (count == 0 || count > kMaxSerializedTreeNodes) {
+        fatal("RegressionTree::deserialize: node count ", count,
+              " outside [1, ", kMaxSerializedTreeNodes, "]");
+    }
+    std::vector<TreeNode> nodes;
+    for (std::size_t k = 0; k < count; ++k) {
+        TreeNode &n = nodes.emplace_back();
         int bin = 0;
         if (!(is >> tag >> n.feature >> n.threshold >> bin >> n.left
               >> n.right >> n.value)
@@ -104,8 +109,6 @@ RegressionTree::deserialize(std::istream &is)
             fatal("RegressionTree::deserialize: dangling child index");
         }
     }
-    if (nodes.empty())
-        fatal("RegressionTree::deserialize: empty tree");
     return RegressionTree(std::move(nodes));
 }
 
@@ -166,6 +169,44 @@ struct Builder
         }
     }
 
+    /** `n` rows of one key whose gradients sum to `g`. */
+    struct KeySum
+    {
+        std::uint32_t key;
+        std::uint32_t n;
+        double g;
+    };
+
+    /**
+     * Collapse `rows` onto `block`'s keys: per-key sums taken in row
+     * order, emitted in ascending key order. A block keyed by the row
+     * itself keeps one entry per row in list order, so bootstrap
+     * duplicates and unsorted lists add up exactly as listed.
+     */
+    void
+    collapse(const BinnedMatrix::Block &block,
+             const std::vector<std::uint32_t> &rows,
+             std::vector<KeySum> &out) const
+    {
+        out.clear();
+        if (block.keys.empty()) {
+            for (std::uint32_t i : rows)
+                out.push_back({i, 1, grad[i]});
+            return;
+        }
+        std::vector<double> g(block.numKeys, 0.0);
+        std::vector<std::uint32_t> n(block.numKeys, 0);
+        for (std::uint32_t i : rows) {
+            const std::uint32_t k = block.keys[i];
+            g[k] += grad[i];
+            ++n[k];
+        }
+        for (std::uint32_t k = 0; k < block.numKeys; ++k) {
+            if (n[k] > 0)
+                out.push_back({k, n[k], g[k]});
+        }
+    }
+
     void
     accumulate(const std::vector<std::uint32_t> &rows,
                HistBlock &hist) const
@@ -173,24 +214,33 @@ struct Builder
         const obs::TraceSpan span("tree.histogram");
         hist.reset(totalBins);
         const auto &active = binned.activeFeatures();
-        // Each feature owns a disjoint [offsets[a], offsets[a+1])
-        // region of the histogram and scans rows in ascending order,
-        // so the accumulation is bit-identical at any thread count.
-        // Small nodes run as one inline chunk to skip pool overhead.
-        const std::size_t grain =
-            rows.size() * active.size() < 1u << 15
-                ? active.size()
-                : std::max<std::size_t>(1, active.size() / 32);
-        parallelFor(0, active.size(), grain, [&](std::size_t a) {
-            const std::uint8_t *col = binned.column(active[a]);
-            double *hg = hist.g.data() + offsets[a];
-            std::uint32_t *hn = hist.n.data() + offsets[a];
-            for (std::uint32_t i : rows) {
-                const std::uint8_t b = col[i];
-                hg[b] += grad[i];
-                ++hn[b];
-            }
-        });
+        std::vector<KeySum> sums;
+        for (const BinnedMatrix::Block &block : binned.blocks()) {
+            const std::size_t features = block.activeEnd - block.activeBegin;
+            if (features == 0)
+                continue;
+            collapse(block, rows, sums);
+            // Each feature owns a disjoint [offsets[a], offsets[a+1])
+            // region of the histogram and adds the entries in order,
+            // so the accumulation is bit-identical at any thread
+            // count. Small nodes run as one inline chunk to skip pool
+            // overhead.
+            const std::size_t grain =
+                sums.size() * features < 1u << 15
+                    ? features
+                    : std::max<std::size_t>(1, features / 32);
+            parallelFor(block.activeBegin, block.activeEnd, grain,
+                        [&](std::size_t a) {
+                const std::uint8_t *codes = binned.keyCodes(active[a]);
+                double *hg = hist.g.data() + offsets[a];
+                std::uint32_t *hn = hist.n.data() + offsets[a];
+                for (const KeySum &e : sums) {
+                    const std::uint8_t b = codes[e.key];
+                    hg[b] += e.g;
+                    hn[b] += e.n;
+                }
+            });
+        }
     }
 
     double
@@ -309,13 +359,14 @@ struct Builder
 
         // Partition rows (order within each side is preserved, so row
         // lists stay sorted and column accesses stay forward).
-        const std::uint8_t *col = binned.column(best.feature);
+        const BinnedMatrix::Block &block = binned.blockOf(best.feature);
+        const std::uint8_t *codes = binned.keyCodes(best.feature);
         std::vector<std::uint32_t> left_rows, right_rows;
         left_rows.reserve(rows.size());
         right_rows.reserve(rows.size());
         double gl = 0.0;
         for (std::uint32_t i : rows) {
-            if (col[i] <= best.bin) {
+            if (codes[block.keyOf(i)] <= best.bin) {
                 left_rows.push_back(i);
                 gl += grad[i];
             } else {

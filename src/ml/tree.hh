@@ -13,8 +13,13 @@
  * variance-reduction CART split with mean-valued leaves, which is how
  * RandomForest reuses the same trainer.
  *
- * Performance: per-feature gradient histograms are accumulated over a
- * column-major uint8 binned matrix; for each split only the smaller
+ * Performance: per-feature gradient histograms are accumulated over
+ * the uint8 codes of a BinnedMatrix, one column block at a time: the
+ * node's rows are first collapsed to (key, gradient sum, count) per
+ * key of the block, then each feature adds those entries into its
+ * bins. A dense dataset's block is keyed by the row itself, so its
+ * entries are the rows; a (network ‖ device) block has at most one
+ * entry per network or device. For each split only the smaller
  * child's histograms are recomputed and the sibling is derived by
  * subtraction (the standard LightGBM/XGBoost trick).
  */
@@ -31,6 +36,15 @@
 
 namespace gcm::ml
 {
+
+/**
+ * Largest counts a serialized model may declare. The parsers reject a
+ * larger count with GcmError and never size a container from a parsed
+ * count, so a corrupt artifact cannot make them allocate without bound.
+ */
+inline constexpr std::size_t kMaxSerializedTreeNodes = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxSerializedTrees = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxSerializedFeatures = std::size_t{1} << 20;
 
 /** One tree node; feature < 0 marks a leaf. */
 struct TreeNode

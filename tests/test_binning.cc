@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ml/binning.hh"
+#include "util/rng.hh"
 
 using namespace gcm::ml;
 
@@ -21,7 +22,61 @@ columnDataset(const std::vector<float> &col)
     return ds;
 }
 
+/**
+ * Two blocks over 300 rows: 11 keys x {tied, constant, distinct}
+ * columns and 40 keys x {tied, distinct, constant} columns.
+ */
+BlockedDataset
+blockedFixture()
+{
+    gcm::Rng rng(11);
+    ColumnBlock small, wide;
+    small.width = 3;
+    for (int k = 0; k < 11; ++k) {
+        small.table.insert(small.table.end(),
+                           {static_cast<float>(k % 4), 7.0f,
+                            static_cast<float>(rng.uniform(-1, 1))});
+    }
+    wide.width = 3;
+    for (int k = 0; k < 40; ++k) {
+        wide.table.insert(wide.table.end(),
+                          {static_cast<float>(k / 3),
+                           static_cast<float>(rng.normal()), -3.0f});
+    }
+    std::vector<double> labels(300, 0.0);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        small.keys.push_back(
+            static_cast<std::uint32_t>(rng.uniformInt(0, 10)));
+        wide.keys.push_back(
+            static_cast<std::uint32_t>(rng.uniformInt(0, 39)));
+    }
+    return BlockedDataset({small, wide}, labels);
+}
+
 } // namespace
+
+TEST(Binning, BlockedMatchesDenseExpansion)
+{
+    const BlockedDataset blocked = blockedFixture();
+    const Dataset dense = blocked.toDense();
+    // A sample cap below the row count (strided sample) and above it.
+    for (const std::size_t cap : {64UL, 4096UL}) {
+        for (const std::size_t max_bins : {4UL, 64UL}) {
+            const BinnedMatrix b(blocked, max_bins, cap);
+            const BinnedMatrix d(dense, max_bins, cap);
+            ASSERT_EQ(b.numFeatures(), d.numFeatures());
+            EXPECT_EQ(b.activeFeatures(), d.activeFeatures());
+            EXPECT_EQ(b.activeFeatures(),
+                      (std::vector<std::size_t>{0, 2, 3, 4}));
+            for (std::size_t f = 0; f < d.numFeatures(); ++f) {
+                EXPECT_EQ(b.featureBins(f).cuts, d.featureBins(f).cuts)
+                    << "feature " << f << " cap " << cap;
+                for (std::size_t i = 0; i < d.numRows(); ++i)
+                    ASSERT_EQ(b.binAt(f, i), d.binAt(f, i));
+            }
+        }
+    }
+}
 
 TEST(Binning, ConstantFeatureDetected)
 {

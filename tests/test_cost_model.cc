@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "core/cost_model.hh"
@@ -15,6 +16,7 @@
 #include "ml/metrics.hh"
 #include "testing_support.hh"
 #include "util/error.hh"
+#include "util/parallel.hh"
 
 using namespace gcm;
 using namespace gcm::core;
@@ -226,4 +228,59 @@ TEST(CostModel, PinnedSignatureValidatesIndices)
     EXPECT_THROW(
         SignatureCostModel::train(ctx.suite(), allLatencies(ctx), cfg),
         GcmError);
+}
+
+TEST(CostModel, BlockedFitIsByteIdenticalToDenseFit)
+{
+    // The paper suite (118 networks) on 40 devices: 4,320 training
+    // rows, past the 4,096-row quantile sample. train() fits on the
+    // two-block (network, device) dataset; the reference fits the same
+    // rows materialized densely, in the same order.
+    const auto ctx = ExperimentContext::build();
+    std::vector<std::size_t> devs(40);
+    std::iota(devs.begin(), devs.end(), std::size_t{0});
+    const auto lat = ctx.latencyMatrix(devs);
+    SignatureCostModel::Config cfg;
+    cfg.gbt.n_estimators = 20;
+    cfg.pinned_signature =
+        selectSignature(lat, cfg.method, cfg.selection);
+
+    setThreads(1);
+    const auto shape = SignatureCostModel::train(ctx.suite(), lat, cfg);
+    const std::size_t net_f = shape.networkFeatureWidth();
+    ml::Dataset dense(shape.featureWidth());
+    std::vector<float> row(shape.featureWidth());
+    for (std::size_t d = 0; d < devs.size(); ++d) {
+        std::vector<double> sig_lat;
+        for (std::size_t s : shape.signature())
+            sig_lat.push_back(lat[s][d]);
+        const double anchor = shape.signatureTail(sig_lat, row.data() + net_f);
+        for (std::size_t n = 0; n < ctx.numNetworks(); ++n) {
+            if (std::find(shape.signature().begin(), shape.signature().end(),
+                          n)
+                != shape.signature().end()) {
+                continue;
+            }
+            const auto enc = shape.encodeNetwork(ctx.suite()[n]);
+            std::copy(enc.begin(), enc.end(), row.begin());
+            dense.addRow(row, lat[n][d] / anchor);
+        }
+    }
+    ml::GradientBoostedTrees reference(cfg.gbt);
+    reference.train(dense);
+    std::ostringstream want;
+    reference.serialize(want);
+
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        setThreads(threads);
+        const auto model = SignatureCostModel::train(ctx.suite(), lat, cfg);
+        std::ostringstream got;
+        model.serialize(got);
+        const std::string text = got.str();
+        const auto booster = text.find("gcm-gbt v1");
+        ASSERT_NE(booster, std::string::npos);
+        EXPECT_EQ(text.substr(booster), want.str())
+            << "at " << threads << " threads";
+    }
+    setThreads(0);
 }

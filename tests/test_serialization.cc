@@ -2,7 +2,7 @@
  * @file
  * Unit tests for model serialization: regression trees, the GBT
  * booster and the end-to-end SignatureCostModel round-trip exactly
- * through their text formats.
+ * through their text formats, and corrupt counts are rejected.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 
 #include "core/cost_model.hh"
 #include "ml/gbt.hh"
+#include "ml/random_forest.hh"
+#include "serve/registry.hh"
 #include "testing_support.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -35,7 +37,83 @@ waveDataset(std::size_t n, std::uint64_t seed)
     return ds;
 }
 
+/** `text` with the first "<field> N" line's count replaced. */
+std::string
+withCount(const std::string &text, const std::string &field,
+          const std::string &count)
+{
+    const std::string key = "\n" + field + " ";
+    const auto at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << field;
+    const auto begin = at + key.size();
+    const auto end = text.find('\n', begin);
+    return text.substr(0, begin) + count + text.substr(end);
+}
+
+/** Loading `text` as a served model artifact raises GcmError. */
+void
+expectRejected(const std::string &text)
+{
+    std::istringstream is(text);
+    EXPECT_THROW((void)serve::ModelSnapshot::fromStream(is), GcmError);
+}
+
+std::string
+costModelText()
+{
+    const auto &ctx = gcmtest::smallContext();
+    std::vector<std::size_t> devices(ctx.fleet().size());
+    for (std::size_t i = 0; i < devices.size(); ++i)
+        devices[i] = i;
+    core::SignatureCostModel::Config cfg;
+    cfg.gbt.n_estimators = 3;
+    cfg.pinned_signature = {0, 1, 2};
+    std::ostringstream os;
+    core::SignatureCostModel::train(ctx.suite(), ctx.latencyMatrix(devices),
+                                    cfg)
+        .serialize(os);
+    return os.str();
+}
+
 } // namespace
+
+TEST(Serialization, HugeTreeNodeCountIsRejected)
+{
+    // Sized from the count, this once aborted with std::bad_alloc.
+    expectRejected(withCount(costModelText(), "tree", "4000000000"));
+}
+
+TEST(Serialization, HugeTreeCountIsRejected)
+{
+    ml::GradientBoostedTrees gbt;
+    gbt.train(waveDataset(100, 5));
+    std::ostringstream g;
+    gbt.serialize(g);
+    expectRejected(withCount(g.str(), "trees", "4000000000"));
+
+    ml::RandomForestParams p;
+    p.n_trees = 3;
+    ml::RandomForest rf(p);
+    rf.train(waveDataset(100, 6));
+    std::ostringstream r;
+    rf.serialize(r);
+    expectRejected(withCount(r.str(), "trees", "4000000000"));
+}
+
+TEST(Serialization, HugeSignatureCountIsRejected)
+{
+    expectRejected(withCount(costModelText(), "signature", "4000000000"));
+}
+
+TEST(Serialization, HugeFeatureAndLayerCountsAreRejected)
+{
+    const std::string text = costModelText();
+    expectRejected(withCount(text, "num_features", "4000000000"));
+    expectRejected(withCount(text, "max_layers", "4000000000"));
+    // A booster wider than the encoder layout would read past the
+    // query row.
+    expectRejected(withCount(text, "num_features", "100000"));
+}
 
 TEST(Serialization, GbtRoundTripIsExact)
 {

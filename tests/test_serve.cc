@@ -238,8 +238,11 @@ TEST(Registry, HotSwapUnderConcurrentServing)
         }
         stop.store(true);
     });
+    // Serve until the writer is done and a minimum of work is in, so
+    // a fast writer cannot end the loop before it has raced anything.
+    constexpr std::size_t kMinServed = 64;
     std::size_t served = 0;
-    while (!stop.load()) {
+    while (!stop.load() || served < kMinServed) {
         const auto responses = service.processBatch(batch);
         ASSERT_EQ(responses.size(), 1u);
         ASSERT_TRUE(responses[0].ok) << responses[0].error_message;
@@ -383,9 +386,12 @@ TEST(Service, AllUniqueCandidateStreamUnderConcurrentHotSwap)
         }
         stop.store(true);
     });
+    // Serve until the writer is done and the stream has overflowed the
+    // cache several times over: the writer's activations can finish
+    // before 48 entries are ever inserted.
     std::uint64_t probes = 0;
     std::size_t next = 0;
-    while (!stop.load()) {
+    while (!stop.load() || probes < 4 * cfg.cache_capacity) {
         std::vector<serve::ServeRequest> batch;
         for (std::size_t j = 0; j < 12; ++j) {
             serve::ServeRequest r;
@@ -1146,8 +1152,10 @@ TEST(FrontEnd, SurvivesConcurrentRollbackAndRetire)
         registry.retire(v2);
         stop.store(true);
     });
+    // Run until the operator is done and a minimum of work is in.
+    constexpr std::size_t kMinRuns = 4;
     std::size_t runs = 0;
-    while (!stop.load() || runs == 0) {
+    while (!stop.load() || runs < kMinRuns) {
         const auto arrivals = overloadArrivals(fe, 64, runs, 1.0);
         std::vector<std::string> responses;
         const auto report = fe.run(arrivals, &responses);

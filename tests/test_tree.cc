@@ -46,7 +46,70 @@ negLabels(const Dataset &ds)
     return g;
 }
 
+/** Trees are equal when every node field is. */
+void
+expectSameTree(const RegressionTree &a, const RegressionTree &b)
+{
+    ASSERT_EQ(a.numNodes(), b.numNodes());
+    for (std::size_t k = 0; k < a.numNodes(); ++k) {
+        const TreeNode &x = a.nodes()[k];
+        const TreeNode &y = b.nodes()[k];
+        EXPECT_EQ(x.feature, y.feature) << "node " << k;
+        EXPECT_EQ(x.threshold, y.threshold) << "node " << k;
+        EXPECT_EQ(x.binThreshold, y.binThreshold) << "node " << k;
+        EXPECT_EQ(x.left, y.left) << "node " << k;
+        EXPECT_EQ(x.right, y.right) << "node " << k;
+        EXPECT_EQ(x.value, y.value) << "node " << k;
+    }
+}
+
 } // namespace
+
+TEST(TreeTrainer, BlockedTreeMatchesDenseOnExactGradients)
+{
+    // Integer-valued gradients sum exactly in any order, so collapsing
+    // rows per key cannot change a histogram bin: the blocked and the
+    // dense tree must agree node for node.
+    Rng rng(13);
+    ColumnBlock nets, devs;
+    nets.width = 4;
+    for (int k = 0; k < 13 * 4; ++k)
+        nets.table.push_back(static_cast<float>(rng.uniform(-1, 1)));
+    devs.width = 2;
+    for (int k = 0; k < 6 * 2; ++k)
+        devs.table.push_back(static_cast<float>(rng.uniformInt(0, 3)));
+    const std::size_t n = 400;
+    std::vector<float> grad(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        nets.keys.push_back(static_cast<std::uint32_t>(rng.uniformInt(0, 12)));
+        devs.keys.push_back(static_cast<std::uint32_t>(rng.uniformInt(0, 5)));
+        grad[i] = static_cast<float>(rng.uniformInt(-20, 20));
+    }
+    const BlockedDataset blocked({nets, devs}, std::vector<double>(n, 0.0));
+    const BinnedMatrix b(blocked, 16);
+    const BinnedMatrix d(blocked.toDense(), 16);
+
+    std::vector<std::uint32_t> subset, bootstrap;
+    for (std::uint32_t i = 0; i < n; i += 3)
+        subset.push_back(i);
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        bootstrap.push_back(
+            static_cast<std::uint32_t>(rng.uniformInt(0, last)));
+    }
+    TreeTrainConfig cfg;
+    cfg.max_depth = 4;
+    for (const auto &rows : {allRows(n), subset, bootstrap}) {
+        std::vector<double> gain_b, gain_d;
+        const auto tb = trainTree(b, rows, grad, cfg, nullptr, &gain_b);
+        const auto td = trainTree(d, rows, grad, cfg, nullptr, &gain_d);
+        EXPECT_GT(tb.numLeaves(), 2u);
+        expectSameTree(tb, td);
+        EXPECT_EQ(gain_b, gain_d);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(tb.predictBinnedRow(b, i), td.predictBinnedRow(d, i));
+    }
+}
 
 TEST(TreeTrainer, FindsTheStepSplit)
 {

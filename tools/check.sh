@@ -99,8 +99,11 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 echo "check.sh: clean under ASan+UBSan with -Wall -Wextra -Werror"
 
 # --- TSan lane: the tests that exercise the parallel execution layer.
+# test_cost_model and test_evaluation fit on blocked (network ×
+# device) datasets, whose histograms run on the pool.
 PARALLEL_TESTS=(test_parallel test_tree test_gbt test_baselines
                 test_campaign test_cross_validation test_signature
+                test_cost_model test_evaluation
                 test_obs test_obs_determinism test_faults test_serve
                 test_flat_ensemble test_search test_fleet)
 
@@ -116,6 +119,12 @@ for t in "${PARALLEL_TESTS[@]}"; do
     # so the races TSan should see actually happen.
     GCM_THREADS=8 "$TSAN_BUILD/tests/$t"
 done
+
+# The hot-swap races serve until the writer is done *and* a minimum of
+# work is in; repeated, a loop that ended on the writer's timing alone
+# would show up as a flaky failure here.
+GCM_THREADS=8 "$TSAN_BUILD/tests/test_serve" --gtest_repeat=20 \
+    --gtest_filter='*HotSwap*:*ConcurrentRollbackAndRetire*'
 
 # Overload soak: 8 front-end workers race over the shared cache and
 # the pinned snapshots at 2x offered load while an operator thread
