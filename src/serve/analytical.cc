@@ -1,7 +1,5 @@
 #include "serve/analytical.hh"
 
-#include <cmath>
-
 #include "dnn/quantize.hh"
 #include "dnn/serialize.hh"
 #include "dnn/zoo.hh"
@@ -55,35 +53,14 @@ AnalyticalEstimator::serve(const ServeRequest &request)
 
     // Same request schema as the full tier: a degraded server must
     // not accept requests a healthy one would reject.
+    RequestCheck check = checkRequest(request, device_table_);
+    if (!check.ok()) {
+        failWith(check.error_code, std::move(check.error_message));
+        return r;
+    }
     const bool has_network = !request.network.empty();
     const bool has_graph = !request.graph_text.empty();
     const bool has_ptr = request.graph_ptr != nullptr;
-    if (static_cast<int>(has_network) + static_cast<int>(has_graph)
-            + static_cast<int>(has_ptr)
-        != 1) {
-        failWith(ServeErrorCode::BadRequest,
-                 "exactly one of 'network' and 'graph' is required");
-        return r;
-    }
-    const bool has_device = !request.device.empty();
-    if (has_device == request.has_signature) {
-        failWith(ServeErrorCode::BadRequest,
-                 "exactly one of 'device' and 'signature' is required");
-        return r;
-    }
-    if (has_device && device_table_ != nullptr
-        && device_table_->count(request.device) == 0) {
-        failWith(ServeErrorCode::UnknownDevice,
-                 "unknown device '" + request.device + "'");
-        return r;
-    }
-    for (double v : request.signature) {
-        if (!std::isfinite(v) || v <= 0.0) {
-            failWith(ServeErrorCode::BadRequest,
-                     "signature latencies must be finite and positive");
-            return r;
-        }
-    }
 
     try {
         double estimate = 0.0;

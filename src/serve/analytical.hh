@@ -51,11 +51,10 @@ class AnalyticalEstimator
     double estimateMs(const dnn::Graph &graph) const;
 
     /**
-     * Serve one request from the roofline alone. Validates the same
-     * request schema as PredictionService::resolve (exactly one
-     * network source, exactly one device source, finite positive
-     * signatures) so clients cannot smuggle malformed requests
-     * through an overloaded server. Never throws.
+     * Serve one request from the roofline alone. Runs the same
+     * checkRequest() as the full tier first, so clients cannot
+     * smuggle malformed requests through an overloaded server.
+     * Never throws.
      */
     ServeResponse serve(const ServeRequest &request);
 

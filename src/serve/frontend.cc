@@ -84,15 +84,6 @@ percentile(std::vector<double> sample, double p)
     return sample[idx];
 }
 
-std::string
-formatQps(double v)
-{
-    std::ostringstream os;
-    os.precision(1);
-    os << std::fixed << v;
-    return os.str();
-}
-
 } // namespace
 
 std::string
@@ -105,7 +96,7 @@ FrontEndReport::summary() const
        << " served (" << ok << " ok, " << errors << " errors), "
        << tier_shed << " shed over " << sim_duration_ms
        << " simulated ms on " << workers << " worker(s)\n";
-    os << "  goodput " << formatQps(goodput_qps)
+    os << "  goodput " << goodput_qps
        << " req/s, shed-rate " << (100.0 * shed_rate)
        << "%, utilization " << (100.0 * utilization) << "%\n";
     os << "  tiers: full " << tier_full << " / stale " << tier_stale
@@ -114,7 +105,11 @@ FrontEndReport::summary() const
     os << "  queue peaks: interactive " << peak_queue_interactive
        << ", bulk " << peak_queue_bulk << "\n";
     os << "  sim sojourn p50 " << sojourn_p50_ms << " ms, p95 "
-       << sojourn_p95_ms << " ms, p99 " << sojourn_p99_ms << " ms";
+       << sojourn_p95_ms << " ms, p99 " << sojourn_p99_ms << " ms\n";
+    os << "  cache: " << cache.hits << " hits, " << cache.misses
+       << " misses, " << cache.evictions << " evictions, "
+       << cache.coalesced << " coalesced (hit rate "
+       << (100.0 * cache.hitRate()) << "%)";
     return os.str();
 }
 
@@ -308,8 +303,12 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
         clock = ta;
         Item &item = items[i];
         item.arrival_ms = ta;
+        const std::size_t bytes =
+            std::max(arrivals[i].line.size(), arrivals[i].bytes);
         item.parse_error =
-            tryParseRequest(arrivals[i].line, item.request);
+            bytes > kMaxRequestLineBytes
+                ? oversizedLineMessage(bytes)
+                : tryParseRequest(arrivals[i].line, item.request);
         const std::size_t cls =
             item.request.priority == Priority::Bulk ? 1 : 0;
         const std::size_t depth = queues[cls].size();
@@ -489,19 +488,33 @@ runFrontEndLoop(ServerFrontEnd &frontend, std::istream &in,
     const double qps =
         arrival_qps > 0.0 ? arrival_qps : frontend.capacityQps();
     const double step_ms = 1000.0 / qps;
-    std::vector<Arrival> arrivals;
-    std::string line;
-    double t = 0.0;
-    while (std::getline(in, line)) {
-        arrivals.push_back({t, std::move(line)});
-        t += step_ms;
-    }
+    std::vector<Arrival> window;
     std::vector<std::string> responses;
-    frontend.run(arrivals, &responses);
-    for (const std::string &r : responses)
-        out << r << '\n';
-    out.flush();
-    return arrivals.size();
+    std::size_t window_bytes = 0;
+    const auto serveWindow = [&] {
+        frontend.run(window, &responses);
+        for (const std::string &r : responses)
+            out << r << '\n';
+        out.flush(); // a window's responses are complete: hand them on
+        window.clear();
+        window_bytes = 0;
+    };
+    std::size_t consumed = 0;
+    double t = 0.0;
+    Arrival arrival;
+    while (readRequestLine(in, arrival.line, arrival.bytes)) {
+        ++consumed;
+        arrival.time_ms = t;
+        t += step_ms;
+        window_bytes += arrival.line.size();
+        window.push_back(std::move(arrival));
+        if (window.size() == kServeWindowLines
+            || window_bytes >= kServeWindowBytes)
+            serveWindow();
+    }
+    if (!window.empty())
+        serveWindow();
+    return consumed;
 }
 
 } // namespace gcm::serve

@@ -73,6 +73,11 @@ struct Arrival
 {
     double time_ms = 0.0;
     std::string line;
+    /**
+     * Length of the line as read, when readRequestLine() kept only a
+     * capped prefix of it in `line` (0: `line` is the whole line).
+     */
+    std::size_t bytes = 0;
 };
 
 /** Overload policy: the full ladder, or binary accept/shed. */
@@ -200,10 +205,22 @@ class ServerFrontEnd
 };
 
 /**
- * Read request lines from `in`, timestamp them with deterministic
+ * runFrontEndLoop() serves its input in windows of at most this many
+ * lines (or the first line that brings the window's stored bytes to
+ * kServeWindowBytes), one run() per window, so memory stays bounded
+ * on an endless stream. Every window drains before the next starts.
+ */
+inline constexpr std::size_t kServeWindowLines = 4096;
+inline constexpr std::size_t kServeWindowBytes = std::size_t{16} << 20;
+
+/**
+ * Read request lines from `in` (readRequestLine, so an oversized line
+ * costs at most the cap), timestamp them with deterministic
  * fixed-rate arrivals (arrival_qps, or exactly capacityQps() when
- * <= 0), serve them through the front end, and write one response
- * line per request to `out`. Returns the number of lines consumed.
+ * <= 0) on one simulated clock that carries on across windows, serve
+ * them through the front end, and write one response line per
+ * request to `out`, in input order. Returns the number of lines
+ * consumed.
  */
 std::size_t runFrontEndLoop(ServerFrontEnd &frontend, std::istream &in,
                             std::ostream &out, double arrival_qps = 0.0);

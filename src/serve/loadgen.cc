@@ -1,16 +1,11 @@
 #include "serve/loadgen.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "dnn/zoo.hh"
-#include "obs/obs.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
@@ -33,54 +28,34 @@ LoadGenConfig::validate() const
 {
     if (requests == 0)
         fatal("loadgen: requests must be >= 1");
-    if (burst == 0)
-        fatal("loadgen: burst must be >= 1");
     if (pool_size == 0)
         fatal("loadgen: pool_size must be >= 1");
-    if (target_qps < 0.0)
-        fatal("loadgen: target_qps must be >= 0");
-    if (offered_qps < 0.0)
-        fatal("loadgen: offered_qps must be >= 0");
+    if (!(offered_qps > 0.0))
+        fatal("loadgen: offered_qps must be > 0");
     if (bulk_fraction < 0.0 || bulk_fraction > 1.0)
         fatal("loadgen: bulk_fraction must be in [0, 1]");
-    validateLoopConfig(loop);
 }
 
 namespace
 {
 
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = q * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 /**
- * The shared request-body generator behind both loops. `bulk`, when
- * non-null, tags request i with `"priority": "bulk"` where true; the
- * flags are drawn from their own forked stream by the caller, so the
- * body byte stream for a given (seed, mix) is identical with and
- * without priority tagging.
+ * The request-body generator. Request i is tagged
+ * `"priority": "bulk"` where bulk[i]; the flags are drawn from their
+ * own forked stream by the caller, so the body byte stream for a
+ * given (seed, mix) is identical at any bulk_fraction.
  */
 std::vector<std::string>
 generateLines(Rng &rng, std::size_t sig_width,
               const std::vector<std::string> &device_names,
-              const LoadGenConfig &config,
-              const std::vector<bool> *bulk)
+              const LoadGenConfig &config, const std::vector<bool> &bulk)
 {
     const std::vector<std::string> &zoo = dnn::zooModelNames();
     std::vector<std::string> lines;
     lines.reserve(config.requests);
     const auto priorityTag = [&](std::size_t i) {
-        return bulk != nullptr && (*bulk)[i]
-                   ? std::string(", \"priority\": \"bulk\"")
-                   : std::string();
+        return bulk[i] ? std::string(", \"priority\": \"bulk\"")
+                       : std::string();
     };
 
     if (config.mix == LoadMix::DuplicateHeavy) {
@@ -149,53 +124,21 @@ generateLines(Rng &rng, std::size_t sig_width,
     return lines;
 }
 
-/** Device-name list of a table, in map (sorted) order. */
-std::vector<std::string>
-deviceNames(const PredictionService::DeviceTable &table)
-{
-    std::vector<std::string> names;
-    names.reserve(table.size());
-    for (const auto &[name, sig] : table)
-        names.push_back(name);
-    return names;
-}
-
-/** Signature width of the active snapshot. Throws when unservable. */
-std::size_t
-servableSignatureWidth(const ModelRegistry &registry)
-{
-    const auto active = registry.active();
-    if (!active || active.snapshot->kind() != SnapshotKind::CostModel)
-        fatal("loadgen: the registry has no active cost-model snapshot");
-    return active.snapshot->costModel().signatureNames().size();
-}
-
 } // namespace
-
-std::vector<std::string>
-generateRequests(const PredictionService &service,
-                 const LoadGenConfig &config)
-{
-    config.validate();
-    const std::size_t sig_width =
-        servableSignatureWidth(service.registry());
-    const std::vector<std::string> names =
-        deviceNames(service.deviceTable());
-    Rng rng(config.seed);
-    return generateLines(rng, sig_width, names, config, nullptr);
-}
 
 std::vector<Arrival>
 generateArrivals(const ServerFrontEnd &frontend,
                  const LoadGenConfig &config)
 {
     config.validate();
-    if (config.offered_qps <= 0.0)
-        fatal("loadgen: open-loop arrivals need offered_qps > 0");
+    const auto active = frontend.registry().active();
+    if (!active || active.snapshot->kind() != SnapshotKind::CostModel)
+        fatal("loadgen: the registry has no active cost-model snapshot");
     const std::size_t sig_width =
-        servableSignatureWidth(frontend.registry());
-    const std::vector<std::string> names =
-        deviceNames(frontend.deviceTable());
+        active.snapshot->costModel().signatureNames().size();
+    std::vector<std::string> names; // device names, in map order
+    for (const auto &[name, sig] : frontend.deviceTable())
+        names.push_back(name);
 
     // Independent forked streams so bodies, priorities and arrival
     // gaps never perturb each other's draws (and the body stream
@@ -211,7 +154,7 @@ generateArrivals(const ServerFrontEnd &frontend,
             bulk[i] = prio_rng.uniform() < config.bulk_fraction;
     }
     std::vector<std::string> lines =
-        generateLines(body_rng, sig_width, names, config, &bulk);
+        generateLines(body_rng, sig_width, names, config, bulk);
 
     // Poisson process on the simulated clock: exponential
     // inter-arrival gaps with mean 1/offered_qps.
@@ -229,166 +172,20 @@ generateArrivals(const ServerFrontEnd &frontend,
     return arrivals;
 }
 
-OpenLoadReport
+FrontEndReport
 runOpenLoadGen(ServerFrontEnd &frontend, const LoadGenConfig &config,
                std::ostream *responses_out)
 {
-    const std::vector<Arrival> arrivals =
-        generateArrivals(frontend, config);
     std::vector<std::string> responses;
-    OpenLoadReport report;
-    report.frontend = frontend.run(
-        arrivals, responses_out != nullptr ? &responses : nullptr);
-    report.offered_qps = config.offered_qps;
-    report.capacity_qps = frontend.capacityQps();
+    const FrontEndReport report =
+        frontend.run(generateArrivals(frontend, config),
+                     responses_out != nullptr ? &responses : nullptr);
     if (responses_out != nullptr) {
         for (const std::string &r : responses)
             *responses_out << r << '\n';
         responses_out->flush();
     }
     return report;
-}
-
-std::string
-OpenLoadReport::summary() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "open-loop: offered %.1f req/s (%.2fx capacity "
-                  "%.1f req/s)\n",
-                  offered_qps,
-                  capacity_qps > 0.0 ? offered_qps / capacity_qps : 0.0,
-                  capacity_qps);
-    std::string out(buf);
-    out += frontend.summary();
-    std::snprintf(
-        buf, sizeof(buf),
-        "\n  cache: %llu hits, %llu misses, %llu evictions, "
-        "%llu coalesced (hit rate %.1f%%)",
-        (unsigned long long)frontend.cache.hits,
-        (unsigned long long)frontend.cache.misses,
-        (unsigned long long)frontend.cache.evictions,
-        (unsigned long long)frontend.cache.coalesced,
-        frontend.cache.hitRate() * 100.0);
-    out += buf;
-    return out;
-}
-
-LoadGenReport
-runLoadGen(PredictionService &service, const LoadGenConfig &config,
-           std::ostream *responses_out)
-{
-    using Clock = std::chrono::steady_clock;
-
-    const std::vector<std::string> lines =
-        generateRequests(service, config);
-    RequestLoop loop(service, config.loop);
-
-    LoadGenReport report;
-    report.issued = lines.size();
-    std::vector<std::string> responses(lines.size());
-    std::vector<double> latencies;
-    latencies.reserve(lines.size());
-
-    const auto run_t0 = Clock::now();
-    std::size_t next = 0;
-    while (next < lines.size()) {
-        const std::size_t burst_end =
-            std::min(next + config.burst, lines.size());
-        const auto burst_t0 = Clock::now();
-
-        // Offer the whole burst; a full queue sheds the overflow with
-        // explicit rejections instead of blocking.
-        std::vector<std::size_t> accepted;
-        accepted.reserve(burst_end - next);
-        for (std::size_t i = next; i < burst_end; ++i) {
-            if (loop.offer(lines[i])) {
-                accepted.push_back(i);
-            } else {
-                responses[i] = RequestLoop::renderOverloaded(lines[i]);
-                ++report.rejected;
-            }
-        }
-        std::vector<std::string> drained;
-        loop.drainAll(drained);
-        GCM_ASSERT(drained.size() == accepted.size(),
-                   "loadgen: drained responses != accepted requests");
-        for (std::size_t k = 0; k < accepted.size(); ++k)
-            responses[accepted[k]] = std::move(drained[k]);
-
-        const std::chrono::duration<double, std::milli> burst_ms =
-            Clock::now() - burst_t0;
-        const double per_request =
-            burst_ms.count()
-            / static_cast<double>(burst_end - next);
-        for (std::size_t k = 0; k < accepted.size(); ++k)
-            latencies.push_back(per_request);
-        if (obs::enabled())
-            obs::histogramObserve("serve.loadgen.burst_ms",
-                                  burst_ms.count());
-
-        next = burst_end;
-        if (config.target_qps > 0.0 && next < lines.size()) {
-            // Closed-loop pacing: sleep off any lead over the target
-            // offered load.
-            const double target_elapsed_s =
-                static_cast<double>(next) / config.target_qps;
-            const std::chrono::duration<double> elapsed =
-                Clock::now() - run_t0;
-            const double lead_s = target_elapsed_s - elapsed.count();
-            if (lead_s > 0.0) {
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(lead_s));
-            }
-        }
-    }
-
-    const std::chrono::duration<double, std::milli> wall =
-        Clock::now() - run_t0;
-    report.wall_ms = wall.count();
-    report.achieved_qps =
-        report.wall_ms > 0.0
-            ? static_cast<double>(report.issued) * 1000.0
-                  / report.wall_ms
-            : 0.0;
-    for (const auto &r : responses) {
-        if (r.find("\"ok\": true") != std::string::npos)
-            ++report.ok;
-        else
-            ++report.errors;
-    }
-    std::sort(latencies.begin(), latencies.end());
-    report.p50_ms = percentile(latencies, 0.50);
-    report.p95_ms = percentile(latencies, 0.95);
-    report.p99_ms = percentile(latencies, 0.99);
-    report.cache = service.cache().stats();
-
-    if (responses_out) {
-        for (const auto &r : responses)
-            *responses_out << r << '\n';
-        responses_out->flush();
-    }
-    return report;
-}
-
-std::string
-LoadGenReport::summary() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "loadgen: %zu requests (%zu ok, %zu errors, %zu rejected)\n"
-        "  wall %.1f ms, throughput %.0f req/s\n"
-        "  latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n"
-        "  cache: %llu hits, %llu misses, %llu evictions, "
-        "%llu coalesced (hit rate %.1f%%, effective %.1f%%)",
-        issued, ok, errors, rejected, wall_ms, achieved_qps, p50_ms,
-        p95_ms, p99_ms, (unsigned long long)cache.hits,
-        (unsigned long long)cache.misses,
-        (unsigned long long)cache.evictions,
-        (unsigned long long)cache.coalesced, cache.hitRate() * 100.0,
-        cache.effectiveHitRate() * 100.0);
-    return buf;
 }
 
 } // namespace gcm::serve

@@ -2,7 +2,6 @@
 
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hh"
@@ -11,23 +10,11 @@
 namespace gcm::serve
 {
 
-namespace
-{
-
-/**
- * Parse one line into `out`. Returns an empty string on success, the
- * error message otherwise. Fills out.id whenever the line was valid
- * JSON with a string id, so even schema-violating requests get their
- * id echoed in the error response.
- */
 std::string
-tryParseRequestLine(const std::string &line, ServeRequest &out)
+tryParseRequest(const std::string &line, ServeRequest &out)
 {
-    if (line.size() > kMaxRequestLineBytes) {
-        return "request line of " + std::to_string(line.size())
-               + " bytes exceeds the " ""
-               + std::to_string(kMaxRequestLineBytes) + "-byte limit";
-    }
+    if (line.size() > kMaxRequestLineBytes)
+        return oversizedLineMessage(line.size());
     json::Value doc;
     try {
         doc = json::parseJson(line);
@@ -85,19 +72,11 @@ tryParseRequestLine(const std::string &line, ServeRequest &out)
     return "";
 }
 
-} // namespace
-
-std::string
-tryParseRequest(const std::string &line, ServeRequest &out)
-{
-    return tryParseRequestLine(line, out);
-}
-
 ServeRequest
 parseRequestLine(const std::string &line)
 {
     ServeRequest request;
-    const std::string err = tryParseRequestLine(line, request);
+    const std::string err = tryParseRequest(line, request);
     if (!err.empty())
         fatal("gcm-serve/v1: ", err);
     return request;
@@ -153,135 +132,37 @@ renderResponse(const ServeResponse &response)
     return out;
 }
 
-void
-validateLoopConfig(const LoopConfig &config)
-{
-    if (config.batch_size == 0)
-        fatal("LoopConfig: batch_size must be >= 1");
-    if (config.queue_capacity < config.batch_size) {
-        fatal("LoopConfig: queue_capacity (", config.queue_capacity,
-              ") must be >= batch_size (", config.batch_size, ")");
-    }
-}
-
-RequestLoop::RequestLoop(PredictionService &service, LoopConfig config)
-    : service_(service), config_(config)
-{
-    validateLoopConfig(config_);
-}
-
 bool
-RequestLoop::offer(std::string line)
+readRequestLine(std::istream &in, std::string &line, std::size_t &bytes)
 {
-    if (queue_.size() >= config_.queue_capacity)
+    line.clear();
+    bytes = 0;
+    std::streambuf *buf = in.rdbuf();
+    if (!in || buf == nullptr)
         return false;
-    queue_.push_back(std::move(line));
-    return true;
+    bool extracted = false;
+    for (;;) {
+        const int c = buf->sbumpc();
+        if (c == std::char_traits<char>::eof()) {
+            in.setstate(extracted ? std::ios::eofbit
+                                  : std::ios::eofbit | std::ios::failbit);
+            return extracted;
+        }
+        extracted = true;
+        if (c == '\n')
+            return true;
+        if (line.size() <= kMaxRequestLineBytes)
+            line.push_back(static_cast<char>(c));
+        ++bytes;
+    }
 }
 
 std::string
-RequestLoop::renderOverloaded(const std::string &line,
-                              std::size_t queue_depth,
-                              double retry_after_ms)
+oversizedLineMessage(std::size_t bytes)
 {
-    // Best-effort id echo: a rejected line may still be valid JSON.
-    std::string id;
-    try {
-        const json::Value doc = json::parseJson(line);
-        if (doc.isObject() && doc.has("id") && doc.at("id").isString())
-            id = doc.at("id").str;
-    } catch (const GcmError &) {
-        // Malformed line: the rejection wins over the parse error.
-    }
-    ServeResponse r = ServeResponse::failure(
-        id, ServeErrorCode::Overloaded, "admission queue full");
-    r.tier = ServeTier::Shed;
-    r.queue_depth = queue_depth;
-    r.retry_after_ms = retry_after_ms;
-    return renderResponse(r);
-}
-
-void
-RequestLoop::drainBatch(std::vector<std::string> &responses_out)
-{
-    const std::size_t n = std::min(config_.batch_size, queue_.size());
-    if (n == 0)
-        return;
-
-    // Parse the drained lines; parse failures keep their position.
-    std::vector<ServeResponse> parse_errors(n);
-    std::vector<std::ptrdiff_t> slot(n, -1); // index into `requests`
-    std::vector<ServeRequest> requests;
-    requests.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ServeRequest request;
-        const std::string err =
-            tryParseRequestLine(queue_.front(), request);
-        queue_.pop_front();
-        if (err.empty()) {
-            slot[i] = static_cast<std::ptrdiff_t>(requests.size());
-            requests.push_back(std::move(request));
-        } else {
-            parse_errors[i] = ServeResponse::failure(
-                std::move(request.id), ServeErrorCode::BadRequest, err);
-        }
-    }
-
-    const std::vector<ServeResponse> served =
-        service_.processBatch(requests);
-    for (std::size_t i = 0; i < n; ++i) {
-        const ServeResponse &r = slot[i] >= 0
-                                     ? served[static_cast<std::size_t>(
-                                           slot[i])]
-                                     : parse_errors[i];
-        responses_out.push_back(renderResponse(r));
-    }
-}
-
-void
-RequestLoop::drainAll(std::vector<std::string> &responses_out)
-{
-    while (!queue_.empty())
-        drainBatch(responses_out);
-}
-
-std::size_t
-runServeLoop(PredictionService &service, std::istream &in,
-             std::ostream &out, LoopConfig config)
-{
-    RequestLoop loop(service, config);
-    std::vector<std::string> responses;
-    const auto flush = [&] {
-        for (const auto &r : responses)
-            out << r << '\n';
-        responses.clear();
-    };
-
-    std::string line;
-    std::size_t consumed = 0;
-    while (std::getline(in, line)) {
-        ++consumed;
-        if (!loop.offer(line)) {
-            // Queue full: drain one batch, then shed if still full.
-            loop.drainBatch(responses);
-            if (!loop.offer(line)) {
-                // Nominal back-off: one batch's worth of work per
-                // queued batch ahead of the client.
-                const double retry_ms =
-                    static_cast<double>(loop.queued())
-                    / static_cast<double>(config.batch_size);
-                responses.push_back(RequestLoop::renderOverloaded(
-                    line, loop.queued(), retry_ms));
-            }
-        }
-        if (loop.queued() >= config.batch_size)
-            loop.drainBatch(responses);
-        flush();
-    }
-    loop.drainAll(responses);
-    flush();
-    out.flush();
-    return consumed;
+    return "request line of " + std::to_string(bytes)
+           + " bytes exceeds the "
+           + std::to_string(kMaxRequestLineBytes) + "-byte limit";
 }
 
 } // namespace gcm::serve

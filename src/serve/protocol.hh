@@ -43,21 +43,17 @@
  * non-finite numbers — yields a structured error *response*, never an
  * exception out of the loop and never a crash.
  *
- * Admission control: RequestLoop holds a bounded FIFO of raw request
- * lines. offer() rejects once the queue is full (the caller emits the
- * "overloaded" response — explicit load shedding in the PR-4 spirit
- * of graceful degradation), and drainBatch() feeds at most one
- * micro-batch at a time into PredictionService::processBatch.
+ * Admission control and batching live in the multi-worker front end
+ * (frontend.hh), the one serving path; this header holds the wire
+ * format and the bounded line reader it uses.
  */
 
 #ifndef GCM_SERVE_PROTOCOL_HH
 #define GCM_SERVE_PROTOCOL_HH
 
 #include <cstddef>
-#include <deque>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "serve/service.hh"
 
@@ -85,67 +81,19 @@ std::string tryParseRequest(const std::string &line, ServeRequest &out);
 /** Render a response as one JSON line (no trailing newline). */
 std::string renderResponse(const ServeResponse &response);
 
-/** Micro-batching loop configuration. */
-struct LoopConfig
-{
-    /** Requests handed to one processBatch() call. */
-    std::size_t batch_size = 32;
-    /** Admission-queue capacity; offers beyond it are rejected. */
-    std::size_t queue_capacity = 256;
-};
-
-/** Validate loop parameters. Throws GcmError. */
-void validateLoopConfig(const LoopConfig &config);
-
-class RequestLoop
-{
-  public:
-    RequestLoop(PredictionService &service, LoopConfig config = {});
-
-    /**
-     * Try to admit one raw request line. Returns false — and touches
-     * nothing — when the queue is full; the caller must then emit an
-     * "overloaded" rejection for the line.
-     */
-    bool offer(std::string line);
-
-    /**
-     * Drain at most one batch from the queue: parse each admitted
-     * line (parse failures become error responses in place), serve
-     * the parsed requests, and append one rendered response line per
-     * drained request, in admission order.
-     */
-    void drainBatch(std::vector<std::string> &responses_out);
-
-    /** Drain until the queue is empty. */
-    void drainAll(std::vector<std::string> &responses_out);
-
-    std::size_t queued() const { return queue_.size(); }
-    const LoopConfig &config() const { return config_; }
-
-    /**
-     * The rejection line for a request that could not be admitted.
-     * `queue_depth` and `retry_after_ms` become the shed response's
-     * backpressure context (defaults keep legacy call sites valid).
-     */
-    static std::string renderOverloaded(const std::string &line,
-                                        std::size_t queue_depth = 0,
-                                        double retry_after_ms = 0.0);
-
-  private:
-    PredictionService &service_;
-    LoopConfig config_;
-    std::deque<std::string> queue_;
-};
-
 /**
- * Run the full serve loop: read request lines from `in`, admit them
- * through a RequestLoop (draining whenever a batch is ready), and
- * write one response line per request to `out`. Returns the number
- * of request lines consumed. Never throws on malformed input.
+ * Read one request line from `in`, without its newline. At most
+ * kMaxRequestLineBytes + 1 bytes of the line are stored in `line`;
+ * the rest is counted and discarded, so a hostile line cannot grow
+ * memory past the cap. `bytes` receives the line's full length.
+ * Returns false at end of input (like std::getline, a last line
+ * without a trailing newline still counts).
  */
-std::size_t runServeLoop(PredictionService &service, std::istream &in,
-                         std::ostream &out, LoopConfig config = {});
+bool readRequestLine(std::istream &in, std::string &line,
+                     std::size_t &bytes);
+
+/** The bad_request message for a line of `bytes` over the cap. */
+std::string oversizedLineMessage(std::size_t bytes);
 
 } // namespace gcm::serve
 

@@ -55,6 +55,47 @@ serveErrorCodeName(ServeErrorCode code)
     return "?";
 }
 
+RequestCheck
+checkRequest(const ServeRequest &request,
+             const PredictionService::DeviceTable *device_table)
+{
+    const auto fail = [](ServeErrorCode code, std::string msg) {
+        return RequestCheck{code, std::move(msg), nullptr};
+    };
+    const int network_sources =
+        static_cast<int>(!request.network.empty())
+        + static_cast<int>(!request.graph_text.empty())
+        + static_cast<int>(request.graph_ptr != nullptr);
+    if (network_sources != 1) {
+        return fail(ServeErrorCode::BadRequest,
+                    "exactly one of 'network' and 'graph' is required");
+    }
+    const bool has_device = !request.device.empty();
+    if (has_device == request.has_signature) {
+        return fail(ServeErrorCode::BadRequest,
+                    "exactly one of 'device' and 'signature' is required");
+    }
+    RequestCheck check;
+    check.signature = has_device ? nullptr : &request.signature;
+    if (has_device && device_table != nullptr) {
+        const auto it = device_table->find(request.device);
+        if (it == device_table->end()) {
+            return fail(ServeErrorCode::UnknownDevice,
+                        "unknown device '" + request.device + "'");
+        }
+        check.signature = &it->second;
+    }
+    if (check.signature == nullptr)
+        return check;
+    for (const double v : *check.signature) {
+        if (!std::isfinite(v) || v <= 0.0) {
+            return fail(ServeErrorCode::BadRequest,
+                        "signature latencies must be finite and positive");
+        }
+    }
+    return check;
+}
+
 PredictionService::PredictionService(
     const ModelRegistry &registry, DeviceTable device_table,
     ServiceConfig config, std::shared_ptr<ShardedLruCache> shared_cache)
@@ -77,17 +118,15 @@ PredictionService::resolve(const ServeRequest &request,
         r.error_message = std::move(msg);
     };
 
-    // --- network -> deployment graph + structural fingerprint.
-    const bool has_network = !request.network.empty();
-    const bool has_graph = !request.graph_text.empty();
-    const bool has_ptr = request.graph_ptr != nullptr;
-    if (static_cast<int>(has_network) + static_cast<int>(has_graph)
-            + static_cast<int>(has_ptr)
-        != 1) {
-        failWith(ServeErrorCode::BadRequest,
-                 "exactly one of 'network' and 'graph' is required");
+    RequestCheck check = checkRequest(request, &device_table_);
+    if (!check.ok()) {
+        failWith(check.error_code, std::move(check.error_message));
         return r;
     }
+
+    // --- network -> deployment graph + structural fingerprint.
+    const bool has_network = !request.network.empty();
+    const bool has_ptr = request.graph_ptr != nullptr;
     if (has_ptr) {
         // In-process caller handing us an already-built graph; no
         // parsing, no memo (the stream is typically all-unique).
@@ -166,38 +205,15 @@ PredictionService::resolve(const ServeRequest &request,
     }
 
     // --- device -> signature-latency vector + fingerprint.
-    const bool has_device = !request.device.empty();
-    if (has_device == request.has_signature) {
-        failWith(ServeErrorCode::BadRequest,
-                 "exactly one of 'device' and 'signature' is required");
-        return r;
-    }
-    if (has_device) {
-        const auto it = device_table_.find(request.device);
-        if (it == device_table_.end()) {
-            failWith(ServeErrorCode::UnknownDevice,
-                     "unknown device '" + request.device + "'");
-            return r;
-        }
-        r.signature = it->second;
-    } else {
-        r.signature = request.signature;
-    }
+    r.signature = *check.signature;
     const std::size_t want = model.signatureNames().size();
     if (r.signature.size() != want) {
-        failWith(has_device ? ServeErrorCode::Internal
-                            : ServeErrorCode::BadRequest,
+        failWith(request.has_signature ? ServeErrorCode::BadRequest
+                                       : ServeErrorCode::Internal,
                  "signature has " + std::to_string(r.signature.size())
                      + " latencies, the model expects "
                      + std::to_string(want));
         return r;
-    }
-    for (double v : r.signature) {
-        if (!std::isfinite(v) || v <= 0.0) {
-            failWith(ServeErrorCode::BadRequest,
-                     "signature latencies must be finite and positive");
-            return r;
-        }
     }
     r.key.device_fp = signatureFingerprint(r.signature);
     r.key.model_version = version;

@@ -62,7 +62,7 @@ const char *priorityName(Priority p);
 
 /**
  * Which rung of the degradation ladder produced a response (see
- * frontend.hh). Single-loop serving (protocol.cc RequestLoop) only
+ * frontend.hh, the one serving path). DegradeMode::ShedOnly only
  * ever produces Full and Shed.
  */
 enum class ServeTier
@@ -109,7 +109,7 @@ enum class ServeErrorCode
     UnknownDevice,  // device name not in the device table
     BadGraph,       // inline graph failed to parse/verify
     NoModel,        // registry has no active servable snapshot
-    Overloaded,     // admission queue full (emitted by RequestLoop)
+    Overloaded,     // class queue full: the front end's shed rung
     Internal,       // prediction failed after admission
 };
 
@@ -277,6 +277,33 @@ class PredictionService
     /** Zero head/tail stand-in for rows whose build failed. */
     std::vector<float> fallback_;
 };
+
+/** Outcome of checkRequest(); error_message empty = valid. */
+struct RequestCheck
+{
+    ServeErrorCode error_code = ServeErrorCode::BadRequest;
+    std::string error_message;
+    /**
+     * The request's signature latencies: its device's table row or
+     * its own raw vector. nullptr when it names a device and no table
+     * was given.
+     */
+    const std::vector<double> *signature = nullptr;
+
+    bool ok() const { return error_message.empty(); }
+};
+
+/**
+ * The request schema every serving tier checks first, before any
+ * network lookup: exactly one network source, exactly one of device
+ * and signature, a known device (skipped when `device_table` is
+ * null) and finite positive signature values. Checks that need a
+ * model (the network resolving, the signature width) stay with the
+ * tier that has one.
+ */
+RequestCheck
+checkRequest(const ServeRequest &request,
+             const PredictionService::DeviceTable *device_table);
 
 } // namespace gcm::serve
 

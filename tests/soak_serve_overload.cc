@@ -100,12 +100,11 @@ main()
     });
 
     std::ostringstream out;
-    const auto report = serve::runOpenLoadGen(frontend, gen, &out);
+    const auto fr = serve::runOpenLoadGen(frontend, gen, &out);
     operator_thread.join();
 
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
+    std::fprintf(stderr, "%s\n", fr.summary().c_str());
 
-    const auto &fr = report.frontend;
     check(fr.offered == gen.requests, "offered != requests generated");
     check(fr.tier_full + fr.tier_stale + fr.tier_analytical
               + fr.tier_shed

@@ -15,16 +15,15 @@
 
 #include "obs/obs.hh"
 #include "util/error.hh"
+#include "util/json.hh"
 #include "util/parallel.hh"
-
-#include "support_json.hh"
 
 namespace
 {
 
 using namespace gcm;
-using gcmtest::JsonValue;
-using gcmtest::parseJson;
+using JsonValue = json::Value;
+using json::parseJson;
 
 /** Fresh, enabled registry for the test body; disabled afterwards. */
 class ObsTest : public ::testing::Test

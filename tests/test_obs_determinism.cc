@@ -20,17 +20,16 @@
 #include "obs/obs.hh"
 #include "sim/campaign.hh"
 #include "sim/device.hh"
+#include "util/json.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
-
-#include "support_json.hh"
 
 namespace
 {
 
 using namespace gcm;
-using gcmtest::JsonValue;
-using gcmtest::parseJson;
+using JsonValue = json::Value;
+using json::parseJson;
 
 struct Variant
 {

@@ -18,16 +18,15 @@
 #include "obs/obs.hh"
 #include "sim/campaign.hh"
 #include "sim/device.hh"
+#include "util/json.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
-
-#include "support_json.hh"
 
 namespace
 {
 
 using namespace gcm;
-using gcmtest::parseJson;
+using json::parseJson;
 
 TEST(PerfSmoke, TrainAndCampaignUnderObservability)
 {

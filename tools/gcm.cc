@@ -9,12 +9,9 @@
  *   gcm predict --model m.txt --network <name> --signature a,b,c,...
  *   gcm chaos --rates 0,0.1,0.2,0.3       fault-rate sweep report
  *   gcm profile --network <name> --device <model-name>
- *   gcm serve --model m.txt                gcm-serve/v1 loop on
+ *   gcm serve --model m.txt                gcm-serve/v1 front end on
  *                                          stdin/stdout (or files)
- *   gcm serve --model m.txt --workers 4    multi-worker front end
- *                                          with the degradation ladder
  *   gcm loadgen --model m.txt --mix duplicate|unique
- *   gcm loadgen --model m.txt --arrivals open  overload mode
  *   gcm list-networks | gcm list-devices
  *
  * The standard suite/fleet are deterministic, so a dataset exported on
@@ -28,6 +25,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,39 +53,59 @@ using namespace gcm;
 namespace
 {
 
+/** Parsed --key value flags, plus the keys a command has read. */
+struct Flags
+{
+    std::map<std::string, std::string> values;
+    mutable std::set<std::string> read;
+};
+
 /** Minimal --key value parser; bare flags get "1". */
-std::map<std::string, std::string>
+Flags
 parseFlags(int argc, char **argv, int start)
 {
-    std::map<std::string, std::string> flags;
+    Flags flags;
     for (int i = start; i < argc; ++i) {
         std::string key = argv[i];
         if (key.rfind("--", 0) != 0)
             fatal("unexpected argument: ", key);
         key = key.substr(2);
         if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-            flags[key] = argv[++i];
+            flags.values[key] = argv[++i];
         } else {
-            flags[key] = "1";
+            flags.values[key] = "1";
         }
     }
     return flags;
 }
 
 std::string
-flagOr(const std::map<std::string, std::string> &flags,
-       const std::string &key, const std::string &fallback)
+flagOr(const Flags &flags, const std::string &key,
+       const std::string &fallback)
 {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
+    flags.read.insert(key);
+    const auto it = flags.values.find(key);
+    return it == flags.values.end() ? fallback : it->second;
+}
+
+/** A flag no command read is a typo or a removed option: say so. */
+void
+rejectUnreadFlags(const Flags &flags)
+{
+    for (const auto &[key, value] : flags.values) {
+        if (flags.read.count(key) == 0)
+            fatal("unknown flag --", key, " for this command");
+    }
 }
 
 int
-cmdDataset(const std::map<std::string, std::string> &flags)
+cmdDataset(const Flags &flags)
 {
     const std::string out = flagOr(flags, "out", "gcm_dataset.csv");
     const double fault_rate =
         std::stod(flagOr(flags, "faults", "0"));
+    const auto fault_seed = static_cast<std::uint64_t>(
+        std::stoull(flagOr(flags, "fault-seed", "7021")));
     core::ExperimentConfig cfg;
     cfg.campaign.aggregator =
         sim::parseAggregator(flagOr(flags, "aggregator", "mean"));
@@ -109,8 +127,7 @@ cmdDataset(const std::map<std::string, std::string> &flags)
     // the sparse repository a real flaky crowd would have produced.
     sim::CampaignConfig cc = cfg.campaign;
     cc.faults = sim::FaultParams::uniformRate(fault_rate);
-    cc.fault_seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "fault-seed", "7021")));
+    cc.fault_seed = fault_seed;
     const sim::CharacterizationCampaign campaign(
         ctx.fleet(), ctx.campaign().model(), cc);
     const sim::CampaignReport report =
@@ -138,7 +155,7 @@ cmdDataset(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdTrain(const std::map<std::string, std::string> &flags)
+cmdTrain(const Flags &flags)
 {
     const std::string data = flagOr(flags, "data", "");
     const std::string out = flagOr(flags, "out", "gcm_model.txt");
@@ -207,11 +224,12 @@ cmdTrain(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdPredict(const std::map<std::string, std::string> &flags)
+cmdPredict(const Flags &flags)
 {
     const std::string model_path = flagOr(flags, "model", "");
     const std::string network = flagOr(flags, "network", "");
     const std::string signature = flagOr(flags, "signature", "");
+    const bool allow_impute = !flagOr(flags, "impute", "").empty();
     if (model_path.empty() || network.empty() || signature.empty()) {
         fatal("predict needs --model, --network and --signature "
               "(comma-separated latencies in signature order)");
@@ -236,7 +254,7 @@ cmdPredict(const std::map<std::string, std::string> &flags)
     for (double v : sig)
         imputed_any = imputed_any || std::isnan(v);
     if (imputed_any) {
-        if (flags.count("impute") == 0) {
+        if (!allow_impute) {
             fatal("signature has missing (nan) entries; pass "
                   "--impute to fill them from the reference fleet");
         }
@@ -265,7 +283,7 @@ cmdPredict(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdChaos(const std::map<std::string, std::string> &flags)
+cmdChaos(const Flags &flags)
 {
     core::ChaosSweepConfig cfg;
     // Reduced scale by default: the sweep re-runs the campaign and
@@ -330,7 +348,7 @@ cmdChaos(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdProfile(const std::map<std::string, std::string> &flags)
+cmdProfile(const Flags &flags)
 {
     const std::string network =
         flagOr(flags, "network", "mobilenet_v2_1.0");
@@ -350,7 +368,7 @@ cmdProfile(const std::map<std::string, std::string> &flags)
  * servable gcm-cost-model v1 snapshot.
  */
 void
-publishModelOrDie(const std::map<std::string, std::string> &flags,
+publishModelOrDie(const Flags &flags,
                   serve::ModelRegistry &registry)
 {
     const std::string model_path = flagOr(flags, "model", "");
@@ -389,7 +407,7 @@ buildDeviceTable(const core::SignatureCostModel &model)
 }
 
 serve::ServiceConfig
-serviceConfigFromFlags(const std::map<std::string, std::string> &flags)
+serviceConfigFromFlags(const Flags &flags)
 {
     serve::ServiceConfig cfg;
     cfg.cache_capacity = static_cast<std::size_t>(
@@ -399,19 +417,8 @@ serviceConfigFromFlags(const std::map<std::string, std::string> &flags)
     return cfg;
 }
 
-serve::LoopConfig
-loopConfigFromFlags(const std::map<std::string, std::string> &flags)
-{
-    serve::LoopConfig cfg;
-    cfg.batch_size = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "batch", "32")));
-    cfg.queue_capacity = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "queue", "256")));
-    return cfg;
-}
-
 serve::FrontEndConfig
-frontEndConfigFromFlags(const std::map<std::string, std::string> &flags)
+frontEndConfigFromFlags(const Flags &flags)
 {
     serve::FrontEndConfig cfg;
     cfg.workers = static_cast<std::size_t>(
@@ -431,7 +438,7 @@ frontEndConfigFromFlags(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdServe(const std::map<std::string, std::string> &flags)
+cmdServe(const Flags &flags)
 {
     serve::ModelRegistry registry;
     publishModelOrDie(flags, registry);
@@ -456,59 +463,32 @@ cmdServe(const std::map<std::string, std::string> &flags)
         out = &fout;
     }
 
-    // --workers (or --degrade / --arrival-qps) selects the
-    // multi-worker front end with the degradation ladder; without
-    // them the original single-threaded micro-batching loop runs.
-    const bool use_frontend = flags.count("workers") != 0
-                              || flags.count("degrade") != 0
-                              || flags.count("arrival-qps") != 0;
-    if (use_frontend) {
-        serve::ServerFrontEnd frontend(
-            registry, buildDeviceTable(active.snapshot->costModel()),
-            frontEndConfigFromFlags(flags));
-        const double arrival_qps =
-            std::stod(flagOr(flags, "arrival-qps", "0"));
-        const std::size_t consumed =
-            serve::runFrontEndLoop(frontend, *in, *out, arrival_qps);
-        const auto st = frontend.cache().stats();
-        std::fprintf(stderr,
-                     "served %zu requests on %zu worker(s) "
-                     "(model version %llu, degrade %s)\n"
-                     "cache: %llu hits, %llu misses, %llu evictions, "
-                     "%llu coalesced (hit rate %.1f%%)\n",
-                     consumed, frontend.workers(),
-                     (unsigned long long)active.version,
-                     serve::degradeModeName(
-                         frontend.config().degrade),
-                     (unsigned long long)st.hits,
-                     (unsigned long long)st.misses,
-                     (unsigned long long)st.evictions,
-                     (unsigned long long)st.coalesced,
-                     st.hitRate() * 100.0);
-        return 0;
-    }
-
-    serve::PredictionService service(
+    serve::ServerFrontEnd frontend(
         registry, buildDeviceTable(active.snapshot->costModel()),
-        serviceConfigFromFlags(flags));
+        frontEndConfigFromFlags(flags));
+    const double arrival_qps =
+        std::stod(flagOr(flags, "arrival-qps", "0"));
     const std::size_t consumed =
-        serve::runServeLoop(service, *in, *out, loopConfigFromFlags(flags));
-    const auto st = service.cache().stats();
+        serve::runFrontEndLoop(frontend, *in, *out, arrival_qps);
+    const auto st = frontend.cache().stats();
     std::fprintf(stderr,
-                 "served %zu requests (model version %llu)\n"
+                 "served %zu requests on %zu worker(s) "
+                 "(model version %llu, degrade %s)\n"
                  "cache: %llu hits, %llu misses, %llu evictions, "
-                 "%llu coalesced (hit rate %.1f%%, effective %.1f%%)\n",
-                 consumed, (unsigned long long)active.version,
+                 "%llu coalesced (hit rate %.1f%%)\n",
+                 consumed, frontend.workers(),
+                 (unsigned long long)active.version,
+                 serve::degradeModeName(frontend.config().degrade),
                  (unsigned long long)st.hits,
                  (unsigned long long)st.misses,
                  (unsigned long long)st.evictions,
-                 (unsigned long long)st.coalesced, st.hitRate() * 100.0,
-                 st.effectiveHitRate() * 100.0);
+                 (unsigned long long)st.coalesced,
+                 st.hitRate() * 100.0);
     return 0;
 }
 
 int
-cmdLoadgen(const std::map<std::string, std::string> &flags)
+cmdLoadgen(const Flags &flags)
 {
     serve::ModelRegistry registry;
     publishModelOrDie(flags, registry);
@@ -517,15 +497,12 @@ cmdLoadgen(const std::map<std::string, std::string> &flags)
     serve::LoadGenConfig cfg;
     cfg.requests = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "requests", "2000")));
-    cfg.burst = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "burst", "32")));
-    cfg.target_qps = std::stod(flagOr(flags, "qps", "0"));
     cfg.seed = static_cast<std::uint64_t>(
         std::stoull(flagOr(flags, "seed", "42")));
     cfg.mix = serve::parseLoadMix(flagOr(flags, "mix", "duplicate"));
     cfg.pool_size = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "pool", "16")));
-    cfg.loop = loopConfigFromFlags(flags);
+    cfg.bulk_fraction = std::stod(flagOr(flags, "bulk-fraction", "0"));
 
     const std::string out_path = flagOr(flags, "out", "");
     std::ofstream fout;
@@ -535,43 +512,27 @@ cmdLoadgen(const std::map<std::string, std::string> &flags)
             fatal("cannot open ", out_path, " for writing");
     }
 
-    const std::string arrivals = flagOr(flags, "arrivals", "closed");
-    if (arrivals == "open") {
-        // Open-loop overload mode against the multi-worker front
-        // end: Poisson arrivals on the simulated clock at
-        // --offered-qps (default 2x the front end's capacity).
-        serve::ServerFrontEnd frontend(
-            registry, buildDeviceTable(active.snapshot->costModel()),
-            frontEndConfigFromFlags(flags));
-        cfg.bulk_fraction =
-            std::stod(flagOr(flags, "bulk-fraction", "0"));
-        const std::string offered = flagOr(flags, "offered-qps", "");
-        cfg.offered_qps = offered.empty()
-                              ? 2.0 * frontend.capacityQps()
-                              : std::stod(offered);
-        const serve::OpenLoadReport report = serve::runOpenLoadGen(
-            frontend, cfg, out_path.empty() ? nullptr : &fout);
-        std::printf("%s\n", report.summary().c_str());
-        if (!out_path.empty())
-            std::printf("responses written to %s\n", out_path.c_str());
-        return 0;
-    }
-    if (arrivals != "closed")
-        fatal("--arrivals must be 'closed' or 'open'");
-
-    serve::PredictionService service(
+    // Poisson arrivals on the simulated clock at --offered-qps
+    // (default 2x the front end's capacity).
+    serve::ServerFrontEnd frontend(
         registry, buildDeviceTable(active.snapshot->costModel()),
-        serviceConfigFromFlags(flags));
-    const serve::LoadGenReport report = serve::runLoadGen(
-        service, cfg, out_path.empty() ? nullptr : &fout);
-    std::printf("%s\n", report.summary().c_str());
+        frontEndConfigFromFlags(flags));
+    const std::string offered = flagOr(flags, "offered-qps", "");
+    cfg.offered_qps = offered.empty() ? 2.0 * frontend.capacityQps()
+                                      : std::stod(offered);
+    const serve::FrontEndReport report = serve::runOpenLoadGen(
+        frontend, cfg, out_path.empty() ? nullptr : &fout);
+    std::printf("open-loop: offered %.1f req/s (%.2fx capacity %.1f "
+                "req/s)\n%s\n",
+                cfg.offered_qps, cfg.offered_qps / frontend.capacityQps(),
+                frontend.capacityQps(), report.summary().c_str());
     if (!out_path.empty())
         std::printf("responses written to %s\n", out_path.c_str());
     return 0;
 }
 
 int
-cmdSearch(const std::map<std::string, std::string> &flags)
+cmdSearch(const Flags &flags)
 {
     serve::ModelRegistry registry;
     publishModelOrDie(flags, registry);
@@ -626,7 +587,7 @@ cmdSearch(const std::map<std::string, std::string> &flags)
 }
 
 int
-cmdFleet(const std::map<std::string, std::string> &flags)
+cmdFleet(const Flags &flags)
 {
     fleet::FleetLoopConfig cfg;
     cfg.fleet.fleet_size = static_cast<std::size_t>(
@@ -735,35 +696,35 @@ usage()
         "                fault-rate sweep: campaign recovery counters\n"
         "                and clean-holdout R^2 per rate\n"
         "  profile  [--network NAME] [--device NAME]\n"
-        "  serve    --model FILE                  gcm-serve/v1 loop:\n"
-        "           one JSON request per line on stdin, one JSON\n"
-        "           response per line on stdout (see DESIGN.md §10)\n"
+        "  serve    --model FILE                  gcm-serve/v1 front\n"
+        "           end: one JSON request per line on stdin, one JSON\n"
+        "           response per line on stdout, in request order\n"
+        "           (see DESIGN.md §10, §14)\n"
         "           [--in FILE] [--out FILE]      file mode\n"
+        "           [--workers N]  worker threads (default: --threads)\n"
         "           [--batch N] [--queue N]       micro-batch size and\n"
-        "                admission-queue capacity (default 32/256)\n"
+        "                per-priority queue capacity (default 16/256)\n"
         "           [--cache N] [--shards N]      prediction cache\n"
         "                capacity and shard count (default 4096/8)\n"
-        "           [--workers N] [--degrade ladder|shed]\n"
-        "                multi-worker front end with the graceful-\n"
-        "                degradation ladder (DESIGN.md §14); per-\n"
-        "                priority bounded queues, responses tagged\n"
-        "                with the producing tier\n"
-        "           [--soft N] [--hard N]  ladder watermarks\n"
-        "           [--arrival-qps X]      simulated arrival pacing\n"
-        "  loadgen  --model FILE                  seeded closed-loop\n"
-        "           load generator over the serve loop\n"
-        "           [--requests N] [--burst N] [--qps X] [--seed N]\n"
-        "           [--mix duplicate|unique] [--pool N]\n"
-        "           [--batch N] [--queue N] [--cache N] [--shards N]\n"
+        "           [--degrade ladder|shed] [--soft N] [--hard N]\n"
+        "                graceful-degradation ladder and its queue\n"
+        "                watermarks (default ladder, 64/160);\n"
+        "                degraded responses carry their tier\n"
+        "           [--arrival-qps X]  simulated arrival rate\n"
+        "                (default: the front end's capacity)\n"
+        "  loadgen  --model FILE                  seeded open-loop\n"
+        "           Poisson load on the simulated clock against the\n"
+        "           serve front end; reports goodput, shed-rate and\n"
+        "           per-tier fractions\n"
+        "           [--requests N] [--seed N] [--mix duplicate|unique]\n"
+        "           [--pool N] [--bulk-fraction X]\n"
+        "           [--offered-qps X]  offered load (default 2x\n"
+        "                capacity)\n"
         "           [--out FILE]  write the response stream (byte-\n"
         "                identical across runs and thread counts)\n"
-        "           [--arrivals open] [--offered-qps X]\n"
-        "                open-loop Poisson overload mode against the\n"
-        "                multi-worker front end (default offered load\n"
-        "                2x capacity); reports goodput, shed-rate and\n"
-        "                per-tier fractions on the simulated clock\n"
-        "           [--bulk-fraction X] [--workers N]\n"
-        "           [--degrade ladder|shed] [--soft N] [--hard N]\n"
+        "           [--workers N] [--batch N] [--queue N] [--cache N]\n"
+        "           [--shards N] [--degrade ladder|shed] [--soft N]\n"
+        "           [--hard N]    as for serve\n"
         "  search   --model FILE --budget-ms X    latency-constrained\n"
         "           --device NAME | --devices a,b,...  architecture\n"
         "                search over the generator space; emits the\n"
@@ -790,6 +751,7 @@ usage()
         "  --threads N   worker threads (default: GCM_THREADS env,\n"
         "                else hardware concurrency); results are\n"
         "                bit-identical at any thread count\n"
+        "  a flag the command does not read is an error\n"
         "  --trace-out FILE  enable observability and write the\n"
         "                gcm-perf-report/v1 JSON (span tree, pool\n"
         "                counters, latency histograms) after the\n"
@@ -840,8 +802,11 @@ main(int argc, char **argv)
             rc = cmdListNetworks();
         else if (cmd == "list-devices")
             rc = cmdListDevices();
-        else
+        else {
             usage();
+            return 1;
+        }
+        rejectUnreadFlags(flags);
 
         if (!trace_out.empty()) {
             obs::writeReport(trace_out);
