@@ -235,7 +235,8 @@ SignatureCostModel::deserialize(std::istream &is)
     std::string magic, version, tag;
     if (!(is >> magic >> version) || magic != "gcm-cost-model"
         || version != "v1") {
-        fatal("SignatureCostModel::deserialize: bad header");
+        fatal("SignatureCostModel::deserialize: bad header (expected "
+              "'gcm-cost-model v1')");
     }
     SignatureCostModel model;
     int anchor_flag = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <utility>
@@ -493,7 +492,6 @@ FleetController::serveRound(std::size_t round)
     stats.ok = report.ok;
     stats.errors = report.errors;
     stats.tier_full = report.tier_full;
-    stats.tier_stale = report.tier_stale;
     stats.tier_analytical = report.tier_analytical;
     stats.tier_shed = report.tier_shed;
     stats.sim_duration_ms = report.sim_duration_ms;
@@ -550,13 +548,7 @@ runFleetLoop(const FleetLoopConfig &config, std::string *report_out)
 namespace
 {
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::formatNumber;
 
 void
 appendServe(std::string &out, const RoundServeStats &s)
@@ -569,10 +561,9 @@ appendServe(std::string &out, const RoundServeStats &s)
         + ", \"ok\": " + std::to_string(s.ok)
         + ", \"errors\": " + std::to_string(s.errors)
         + ", \"full\": " + std::to_string(s.tier_full)
-        + ", \"stale\": " + std::to_string(s.tier_stale)
         + ", \"analytical\": " + std::to_string(s.tier_analytical)
         + ", \"shed\": " + std::to_string(s.tier_shed)
-        + ", \"sim_ms\": " + fmtDouble(s.sim_duration_ms) + "}";
+        + ", \"sim_ms\": " + formatNumber(s.sim_duration_ms) + "}";
 }
 
 } // namespace
@@ -582,7 +573,7 @@ renderFleetReport(const FleetLoopConfig &config,
                   const FleetResult &result)
 {
     std::string out = "{\n";
-    out += "  \"schema\": \"gcm-fleet/v1\",\n";
+    out += "  \"schema\": \"gcm-fleet/v2\",\n";
     out += "  \"config\": {\n";
     out += "    \"fleet_size\": "
         + std::to_string(config.fleet.fleet_size) + ",\n";
@@ -591,16 +582,16 @@ renderFleetReport(const FleetLoopConfig &config,
     out += "    \"rounds\": " + std::to_string(config.rounds) + ",\n";
     out += "    \"devices_per_round\": "
         + std::to_string(config.devices_per_round) + ",\n";
-    out += "    \"fault_rate\": " + fmtDouble(config.fault_rate)
+    out += "    \"fault_rate\": " + formatNumber(config.fault_rate)
         + ",\n";
     out += "    \"random_networks\": "
         + std::to_string(config.num_random_networks) + ",\n";
     out += "    \"cadence_rounds\": "
         + std::to_string(config.retrain.cadence_rounds) + ",\n";
     out += "    \"holdout_fraction\": "
-        + fmtDouble(config.canary.holdout_fraction) + ",\n";
+        + formatNumber(config.canary.holdout_fraction) + ",\n";
     out += "    \"max_r2_regression\": "
-        + fmtDouble(config.canary.max_r2_regression) + ",\n";
+        + formatNumber(config.canary.max_r2_regression) + ",\n";
     out += "    \"workers\": "
         + std::to_string(config.traffic.workers) + ",\n";
     out += "    \"requests_per_round\": "
@@ -633,7 +624,7 @@ renderFleetReport(const FleetLoopConfig &config,
             + ", \"quarantined_new\": "
             + std::to_string(r.quarantined_new)
             + ", \"repo_size\": " + std::to_string(r.repo_size)
-            + ", \"campaign_sim_ms\": " + fmtDouble(r.campaign_sim_ms)
+            + ", \"campaign_sim_ms\": " + formatNumber(r.campaign_sim_ms)
             + ", \"serve\": ";
         appendServe(out, r.serve);
         out += "}";
@@ -654,9 +645,9 @@ renderFleetReport(const FleetLoopConfig &config,
             + std::to_string(t.missing_cells)
             + ", \"imputed_cells\": "
             + std::to_string(t.imputed_cells) + ", \"candidate_r2\": "
-            + (t.evaluated ? fmtDouble(t.candidate_r2) : "null")
+            + (t.evaluated ? formatNumber(t.candidate_r2) : "null")
             + ", \"incumbent_r2\": "
-            + (t.evaluated ? fmtDouble(t.incumbent_r2) : "null")
+            + (t.evaluated ? formatNumber(t.incumbent_r2) : "null")
             + ", \"version\": " + std::to_string(t.version)
             + ", \"decision\": \""
             + canaryDecisionName(t.decision) + "\", \"reason\": ";
@@ -690,7 +681,7 @@ renderFleetReport(const FleetLoopConfig &config,
         + std::to_string(result.served_total) + ",\n";
     out += "    \"shed_total\": " + std::to_string(result.shed_total)
         + ",\n";
-    out += "    \"sim_total_ms\": " + fmtDouble(result.sim_total_ms)
+    out += "    \"sim_total_ms\": " + formatNumber(result.sim_total_ms)
         + "\n";
     out += "  }\n";
     out += "}\n";

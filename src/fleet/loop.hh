@@ -28,7 +28,7 @@
  * plan/execute split pins the serving tier mix to the *configured*
  * worker count (TrafficConfig::workers — never the pool size); and
  * the canary evaluation is serial. renderFleetReport() therefore
- * emits byte-identical gcm-fleet/v1 JSON at 1, 2 or 8 threads. The
+ * emits byte-identical gcm-fleet/v2 JSON at 1, 2 or 8 threads. The
  * shared prediction cache's hit/miss counters are the one
  * scheduling-dependent diagnostic (see serve/frontend.hh) and are
  * deliberately excluded from the report.
@@ -185,7 +185,6 @@ struct RoundServeStats
     std::size_t ok = 0;
     std::size_t errors = 0;
     std::size_t tier_full = 0;
-    std::size_t tier_stale = 0;
     std::size_t tier_analytical = 0;
     std::size_t tier_shed = 0;
     double sim_duration_ms = 0.0;
@@ -306,7 +305,7 @@ class FleetController
 };
 
 /**
- * The gcm-fleet/v1 report: config echo, pinned signature, per-round
+ * The gcm-fleet/v2 report: config echo, pinned signature, per-round
  * and per-retrain logs and the summary block. Pure function of its
  * inputs; byte-identical at any thread count (doubles rendered
  * "%.17g", no wall-clock fields, no cache counters).

@@ -99,15 +99,36 @@ RegressionTree::deserialize(std::istream &is)
             fatal("RegressionTree::deserialize: bin out of range");
         n.binThreshold = static_cast<std::uint8_t>(bin);
     }
-    // Structural sanity: children must reference valid nodes.
-    for (const auto &n : nodes) {
+    // Structural sanity: the nodes must form one tree under node 0 —
+    // children in range and every node reached exactly once. A cycle
+    // or a shared child would send the compile BFS round forever.
+    std::vector<bool> reached(nodes.size(), false);
+    std::vector<std::int32_t> stack = {0};
+    reached[0] = true;
+    std::size_t reached_count = 1;
+    while (!stack.empty()) {
+        const TreeNode &n = nodes[static_cast<std::size_t>(stack.back())];
+        stack.pop_back();
         if (n.isLeaf())
             continue;
-        if (n.left < 0 || n.right < 0
-            || static_cast<std::size_t>(n.left) >= nodes.size()
-            || static_cast<std::size_t>(n.right) >= nodes.size()) {
-            fatal("RegressionTree::deserialize: dangling child index");
+        for (const std::int32_t child : {n.left, n.right}) {
+            if (child < 0
+                || static_cast<std::size_t>(child) >= nodes.size()) {
+                fatal("RegressionTree::deserialize: dangling child index");
+            }
+            if (reached[static_cast<std::size_t>(child)]) {
+                fatal("RegressionTree::deserialize: node ", child,
+                      " is reached twice (a cycle or shared child)");
+            }
+            reached[static_cast<std::size_t>(child)] = true;
+            ++reached_count;
+            stack.push_back(child);
         }
+    }
+    if (reached_count != nodes.size()) {
+        fatal("RegressionTree::deserialize: ",
+              nodes.size() - reached_count,
+              " node(s) unreachable from the root");
     }
     return RegressionTree(std::move(nodes));
 }

@@ -45,11 +45,8 @@ validateSearchConfig(const SearchConfig &config,
     if (!(config.crossover_probability >= 0.0
           && config.crossover_probability <= 1.0))
         fatal("search: crossover_probability must be in [0, 1]");
-    const serve::ModelRegistry::ActiveModel active =
-        service.registry().active();
-    if (!active
-        || active.snapshot->kind() != serve::SnapshotKind::CostModel)
-        fatal("search: the service has no active cost-model snapshot");
+    if (!service.registry().active())
+        fatal("search: the service has no active model");
 }
 
 namespace
@@ -325,13 +322,7 @@ ArchitectureSearch::run()
 namespace
 {
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::formatNumber;
 
 std::string
 fmtFingerprint(std::uint64_t fp)
@@ -354,17 +345,17 @@ appendCandidate(std::string &out, const Candidate &c,
     json::appendJsonString(out, fmtFingerprint(c.fingerprint));
     out += ",\n";
     out += indent
-        + "  \"worst_latency_ms\": " + fmtDouble(c.worst_latency_ms)
+        + "  \"worst_latency_ms\": " + formatNumber(c.worst_latency_ms)
         + ",\n";
     out += indent + "  \"latency_ms\": {";
     for (std::size_t d = 0; d < config.devices.size(); ++d) {
         if (d > 0)
             out += ", ";
         json::appendJsonString(out, config.devices[d]);
-        out += ": " + fmtDouble(c.latency_ms[d]);
+        out += ": " + formatNumber(c.latency_ms[d]);
     }
     out += "},\n";
-    out += indent + "  \"mmacs\": " + fmtDouble(c.mmacs) + ",\n";
+    out += indent + "  \"mmacs\": " + formatNumber(c.mmacs) + ",\n";
     out += indent
         + "  \"params\": " + std::to_string(c.params) + ",\n";
     out += indent
@@ -381,7 +372,7 @@ renderSearchReport(const SearchConfig &config, const SearchResult &result)
     std::string out = "{\n";
     out += "  \"schema\": \"gcm-search/v1\",\n";
     out += "  \"config\": {\n";
-    out += "    \"budget_ms\": " + fmtDouble(config.budget_ms) + ",\n";
+    out += "    \"budget_ms\": " + formatNumber(config.budget_ms) + ",\n";
     out += "    \"devices\": [";
     for (std::size_t d = 0; d < config.devices.size(); ++d) {
         if (d > 0)
@@ -396,7 +387,7 @@ renderSearchReport(const SearchConfig &config, const SearchResult &result)
         + ",\n";
     out += "    \"elite\": " + std::to_string(config.elite) + ",\n";
     out += "    \"crossover_probability\": "
-        + fmtDouble(config.crossover_probability) + ",\n";
+        + formatNumber(config.crossover_probability) + ",\n";
     out += "    \"tournament\": " + std::to_string(config.tournament)
         + "\n";
     out += "  },\n";
@@ -412,9 +403,9 @@ renderSearchReport(const SearchConfig &config, const SearchResult &result)
         + ", \"insertions\": " + std::to_string(cs.insertions)
         + ", \"evictions\": " + std::to_string(cs.evictions)
         + ", \"coalesced\": " + std::to_string(cs.coalesced)
-        + ", \"hit_rate\": " + fmtDouble(cs.hitRate())
+        + ", \"hit_rate\": " + formatNumber(cs.hitRate())
         + ", \"effective_hit_rate\": "
-        + fmtDouble(cs.effectiveHitRate()) + "},\n";
+        + formatNumber(cs.effectiveHitRate()) + "},\n";
 
     out += "  \"front\": [";
     for (std::size_t i = 0; i < result.front.size(); ++i) {
@@ -457,8 +448,8 @@ renderSearchReport(const SearchConfig &config, const SearchResult &result)
             + ", \"evaluated\": " + std::to_string(row.evaluated)
             + ", \"feasible\": " + std::to_string(row.feasible)
             + ", \"best_latency_ms\": "
-            + fmtDouble(row.best_latency_ms) + ", \"best_mmacs\": "
-            + fmtDouble(row.best_mmacs) + ", \"front_size\": "
+            + formatNumber(row.best_latency_ms) + ", \"best_mmacs\": "
+            + formatNumber(row.best_mmacs) + ", \"front_size\": "
             + std::to_string(row.front_size) + "}";
     }
     out += result.log.empty() ? "]\n" : "\n  ]\n";

@@ -20,26 +20,6 @@
 namespace gcm::serve
 {
 
-const char *
-degradeModeName(DegradeMode mode)
-{
-    switch (mode) {
-      case DegradeMode::Ladder: return "ladder";
-      case DegradeMode::ShedOnly: return "shed";
-    }
-    return "?";
-}
-
-DegradeMode
-parseDegradeMode(const std::string &name)
-{
-    if (name == "ladder")
-        return DegradeMode::Ladder;
-    if (name == "shed")
-        return DegradeMode::ShedOnly;
-    fatal("unknown degrade mode '", name, "' (want 'ladder' or 'shed')");
-}
-
 void
 FrontEndConfig::validate() const
 {
@@ -49,18 +29,12 @@ FrontEndConfig::validate() const
         fatal("FrontEndConfig: queue_capacity (", queue_capacity,
               ") must be >= batch_size (", batch_size, ")");
     }
-    if (soft_watermark > hard_watermark) {
-        fatal("FrontEndConfig: soft_watermark (", soft_watermark,
-              ") must be <= hard_watermark (", hard_watermark, ")");
-    }
-    if (hard_watermark > queue_capacity) {
-        fatal("FrontEndConfig: hard_watermark (", hard_watermark,
+    if (watermark > queue_capacity) {
+        fatal("FrontEndConfig: watermark (", watermark,
               ") must be <= queue_capacity (", queue_capacity, ")");
     }
-    if (!(full_cost_ms > 0.0) || !(stale_cost_ms > 0.0)
-        || !(analytical_cost_ms > 0.0)) {
+    if (!(full_cost_ms > 0.0) || !(analytical_cost_ms > 0.0))
         fatal("FrontEndConfig: per-tier service costs must be > 0");
-    }
     if (!(batch_overhead_ms >= 0.0))
         fatal("FrontEndConfig: batch_overhead_ms must be >= 0");
 }
@@ -99,9 +73,8 @@ FrontEndReport::summary() const
     os << "  goodput " << goodput_qps
        << " req/s, shed-rate " << (100.0 * shed_rate)
        << "%, utilization " << (100.0 * utilization) << "%\n";
-    os << "  tiers: full " << tier_full << " / stale " << tier_stale
-       << " / analytical " << tier_analytical << " / shed "
-       << tier_shed << "\n";
+    os << "  tiers: full " << tier_full << " / analytical "
+       << tier_analytical << " / shed " << tier_shed << "\n";
     os << "  queue peaks: interactive " << peak_queue_interactive
        << ", bulk " << peak_queue_bulk << "\n";
     os << "  sim sojourn p50 " << sojourn_p50_ms << " ms, p95 "
@@ -166,18 +139,10 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                   "time_ms");
     }
 
-    // Pin both rungs' snapshots for the whole run. Holding the
-    // shared_ptrs is the rollback/retire safety: the registry can
-    // evict either version mid-run without freeing it under us.
+    // The plan's one registry read. Holding the shared_ptr is the
+    // rollback/retire safety: the registry can evict the version
+    // mid-run without freeing it under us.
     const ModelRegistry::ActiveModel active = registry_.active();
-    const ModelRegistry::ActiveModel previous =
-        registry_.previousModel();
-    const auto servable = [](const ModelRegistry::ActiveModel &m) {
-        return static_cast<bool>(m)
-               && m.snapshot->kind() == SnapshotKind::CostModel;
-    };
-    const bool active_servable = servable(active);
-    const bool prev_servable = servable(previous);
 
     // ------------------------------------------------------------------
     // Phase 1 — plan (serial, simulated clock). A discrete-event walk
@@ -219,30 +184,8 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
         completions;
 
     const auto tier_cost = [&](ServeTier t) {
-        switch (t) {
-          case ServeTier::Full: return config_.full_cost_ms;
-          case ServeTier::Stale: return config_.stale_cost_ms;
-          default: return config_.analytical_cost_ms;
-        }
-    };
-    const auto ladder = [&](std::size_t depth) {
-        ServeTier t = ServeTier::Full;
-        if (config_.degrade == DegradeMode::Ladder) {
-            if (depth >= config_.hard_watermark)
-                t = ServeTier::Analytical;
-            else if (depth >= config_.soft_watermark)
-                t = ServeTier::Stale;
-            // Availability: a mid-swap registry (active changed after
-            // the run pinned it) caps Full at Stale; a missing
-            // previous version escalates Stale to Analytical.
-            if (t == ServeTier::Full
-                && (!active_servable
-                    || registry_.activeVersion() != active.version))
-                t = ServeTier::Stale;
-            if (t == ServeTier::Stale && !prev_servable)
-                t = ServeTier::Analytical;
-        }
-        return t;
+        return t == ServeTier::Full ? config_.full_cost_ms
+                                    : config_.analytical_cost_ms;
     };
     const auto dispatch = [&](double now) {
         while (idle_count > 0) {
@@ -327,7 +270,9 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                                / static_cast<double>(workers_);
             rendered[i] = renderResponse(r);
         } else {
-            item.tier = ladder(depth);
+            item.tier = active && depth < config_.watermark
+                            ? ServeTier::Full
+                            : ServeTier::Analytical;
             queues[cls].push_back(i);
             peaks[cls] = std::max(peaks[cls], queues[cls].size());
         }
@@ -342,7 +287,6 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     for (const Item &item : items) {
         switch (item.tier) {
           case ServeTier::Full: ++report.tier_full; break;
-          case ServeTier::Stale: ++report.tier_stale; break;
           case ServeTier::Analytical:
             ++report.tier_analytical;
             break;
@@ -354,8 +298,8 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
 
     // ------------------------------------------------------------------
     // Phase 2 — execute (parallel, real threads). Workers compute the
-    // pre-decided (request, tier, pinned version) payloads into their
-    // own pre-assigned response slots; payload content is a pure
+    // pre-decided (request, tier) payloads on the pinned model into
+    // their own pre-assigned response slots; payload content is a pure
     // function, so bytes match at any worker count.
     // ------------------------------------------------------------------
     std::vector<std::exception_ptr> failures(workers_);
@@ -366,32 +310,23 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
             std::vector<ServeRequest> reqs;
             std::vector<std::size_t> req_idx;
             for (const Batch &b : worker_batches[w]) {
-                // Model-backed items of one tier are regrouped into
-                // one processBatch call per (batch, tier).
-                for (const ServeTier tier :
-                     {ServeTier::Full, ServeTier::Stale}) {
-                    reqs.clear();
-                    req_idx.clear();
-                    for (const std::size_t idx : b.items) {
-                        Item &item = items[idx];
-                        if (item.tier != tier
-                            || !item.parse_error.empty())
-                            continue;
-                        reqs.push_back(item.request);
-                        req_idx.push_back(idx);
-                    }
-                    if (reqs.empty())
+                // A batch's full-tier items go to one processBatch.
+                reqs.clear();
+                req_idx.clear();
+                for (const std::size_t idx : b.items) {
+                    const Item &item = items[idx];
+                    if (item.tier != ServeTier::Full
+                        || !item.parse_error.empty())
                         continue;
-                    std::vector<ServeResponse> served =
-                        svc.processBatch(reqs,
-                                         tier == ServeTier::Full
-                                             ? active
-                                             : previous);
+                    reqs.push_back(item.request);
+                    req_idx.push_back(idx);
+                }
+                if (!reqs.empty()) {
+                    const std::vector<ServeResponse> served =
+                        svc.processBatch(reqs, active);
                     for (std::size_t k = 0; k < served.size(); ++k) {
-                        served[k].tier = tier;
                         items[req_idx[k]].ok = served[k].ok;
-                        rendered[req_idx[k]] =
-                            renderResponse(served[k]);
+                        rendered[req_idx[k]] = renderResponse(served[k]);
                     }
                 }
                 for (const std::size_t idx : b.items) {
@@ -460,7 +395,6 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
 
     obs::counterAdd("serve.frontend.offered", n);
     obs::counterAdd("serve.frontend.tier.full", report.tier_full);
-    obs::counterAdd("serve.frontend.tier.stale", report.tier_stale);
     obs::counterAdd("serve.frontend.tier.analytical",
                     report.tier_analytical);
     obs::counterAdd("serve.frontend.tier.shed", report.tier_shed);

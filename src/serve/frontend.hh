@@ -8,16 +8,13 @@
  * drains before bulk NAS traffic. Admission applies the degradation
  * ladder per request, keyed on the depth of its class queue:
  *
- *   depth <  soft_watermark   -> Full        (active snapshot)
- *   depth >= soft_watermark   -> Stale       (pinned previous version)
- *   depth >= hard_watermark   -> Analytical  (model-free roofline)
+ *   depth <  watermark        -> Full        (the run's pinned model)
+ *   depth >= watermark        -> Analytical  (model-free roofline)
  *   depth >= queue_capacity   -> Shed        (structured overloaded)
  *
- * with availability adjustments: a mid-swap registry (the active
- * version changed after the run pinned it) caps Full at Stale; no
- * previous version (or no servable model at all) escalates Stale to
- * Analytical. DegradeMode::ShedOnly disables the middle rungs —
- * the pre-ladder binary accept/reject behavior.
+ * A registry with no active model serves every admitted request at
+ * Analytical. With watermark == queue_capacity an admitted request
+ * is always below the watermark: binary accept/shed.
  *
  * Determinism contract (the serving extension of the PR-2 rule).
  * Queueing decisions depend on *time*, which is why naive multi-
@@ -39,10 +36,10 @@
  *     response bytes are identical at ANY worker count; only the
  *     plan (which consumed the worker count) fixes the tier mix.
  *
- * The registry snapshots (active and previous) are pinned once per
- * run via shared_ptr: a concurrent rollback()+retire() can evict a
- * version from the registry mid-run without ever freeing a snapshot
- * the stale tier is reading.
+ * The plan reads the registry once: the run pins the active model
+ * via shared_ptr, so every model-backed response comes from that one
+ * version, a concurrent activate() cannot change the tier mix, and a
+ * concurrent rollback()+retire() cannot free the snapshot mid-run.
  *
  * One deliberate exception to the contract: the shared cache's
  * hit/miss/coalesce counters depend on which worker's batch reaches
@@ -80,44 +77,27 @@ struct Arrival
     std::size_t bytes = 0;
 };
 
-/** Overload policy: the full ladder, or binary accept/shed. */
-enum class DegradeMode
-{
-    Ladder,
-    ShedOnly,
-};
-
-const char *degradeModeName(DegradeMode mode);
-
-/** Parse "ladder" / "shed". Throws GcmError otherwise. */
-DegradeMode parseDegradeMode(const std::string &name);
-
 struct FrontEndConfig
 {
     /** Worker threads; 0 means the GCM_THREADS/default pool size. */
     std::size_t workers = 0;
     /** Per-priority-class queue capacity; beyond it requests shed. */
     std::size_t queue_capacity = 256;
-    /** Queue depth at which Full degrades to Stale. */
-    std::size_t soft_watermark = 64;
-    /** Queue depth at which the ladder drops to Analytical. */
-    std::size_t hard_watermark = 160;
+    /** Class-queue depth at which Full becomes Analytical. */
+    std::size_t watermark = 64;
     /** Requests per planned micro-batch. */
     std::size_t batch_size = 16;
-    DegradeMode degrade = DegradeMode::Ladder;
 
     /**
      * Simulated per-request service cost by tier (ms) and per-batch
-     * dispatch overhead, driving the plan-phase clock. Costs drop
-     * monotonically down the ladder — stale skips the freshness /
-     * swap-synchronization work, analytical skips the model entirely —
-     * but every rung is deliberately NOT free: at these defaults a
-     * 2x-capacity stream outruns even the stale service rate, so the
-     * queue climbs through both watermarks and the shed rung is
-     * reachable (the tools/check.sh soak asserts exactly that).
+     * dispatch overhead, driving the plan-phase clock. Analytical
+     * skips the model, so it is cheaper than Full, but deliberately
+     * NOT free: at these defaults a 2x-capacity stream outruns the
+     * analytical service rate, so the queue climbs past the
+     * watermark and the shed rung is reachable (the tools/check.sh
+     * soak asserts exactly that).
      */
     double full_cost_ms = 1.0;
-    double stale_cost_ms = 0.9;
     double analytical_cost_ms = 0.6;
     double batch_overhead_ms = 0.2;
 
@@ -135,7 +115,6 @@ struct FrontEndReport
     std::size_t ok = 0;
     std::size_t errors = 0; // non-shed error responses
     std::size_t tier_full = 0;
-    std::size_t tier_stale = 0;
     std::size_t tier_analytical = 0;
     std::size_t tier_shed = 0;
     std::size_t peak_queue_interactive = 0;

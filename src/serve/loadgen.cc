@@ -132,8 +132,8 @@ generateArrivals(const ServerFrontEnd &frontend,
 {
     config.validate();
     const auto active = frontend.registry().active();
-    if (!active || active.snapshot->kind() != SnapshotKind::CostModel)
-        fatal("loadgen: the registry has no active cost-model snapshot");
+    if (!active)
+        fatal("loadgen: the registry has no active model");
     const std::size_t sig_width =
         active.snapshot->costModel().signatureNames().size();
     std::vector<std::string> names; // device names, in map order

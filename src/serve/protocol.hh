@@ -23,8 +23,8 @@
  * Degradation tags (version-gated: the field is *absent* for tier
  * "full", so pre-ladder clients keep parsing unchanged responses):
  *
- *   {"id": "r3", "ok": true, "latency_ms": 40.5, "model_version": 1,
- *    "degraded": {"tier": "stale"}}
+ *   {"id": "r3", "ok": true, "latency_ms": 180.5, "model_version": 0,
+ *    "degraded": {"tier": "analytical"}}
  *
  * Shed responses carry backpressure context inside the error object —
  * the queue depth observed at rejection and a suggested back-off:

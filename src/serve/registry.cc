@@ -1,8 +1,5 @@
 #include "serve/registry.hh"
 
-#include <istream>
-#include <sstream>
-
 #include "obs/obs.hh"
 #include "util/error.hh"
 
@@ -30,87 +27,20 @@ noteRegistryState(ModelRegistry::Version active,
 
 } // namespace
 
-const char *
-snapshotKindName(SnapshotKind kind)
-{
-    switch (kind) {
-      case SnapshotKind::CostModel: return "cost-model";
-      case SnapshotKind::Gbt: return "gbt";
-      case SnapshotKind::RandomForest: return "random-forest";
-    }
-    return "?";
-}
-
 ModelSnapshot
 ModelSnapshot::fromStream(std::istream &is)
 {
-    // Buffer the stream so the header can be sniffed without
-    // disturbing what the per-backend deserializer consumes.
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string text = buf.str();
-
-    ModelSnapshot snap;
-    std::istringstream model_is(text);
-    if (text.rfind("gcm-cost-model v1", 0) == 0) {
-        snap.kind_ = SnapshotKind::CostModel;
-        auto model = core::SignatureCostModel::deserialize(model_is);
-        model.compile();
-        snap.cost_model_ = std::make_unique<core::SignatureCostModel>(
-            std::move(model));
-    } else if (text.rfind("gcm-gbt v1", 0) == 0) {
-        snap.kind_ = SnapshotKind::Gbt;
-        snap.gbt_ = std::make_unique<ml::GradientBoostedTrees>(
-            ml::GradientBoostedTrees::deserialize(model_is));
-        snap.flat_ = std::make_unique<const ml::FlatEnsemble>(
-            snap.gbt_->compile());
-    } else if (text.rfind("gcm-rf v1", 0) == 0) {
-        snap.kind_ = SnapshotKind::RandomForest;
-        snap.forest_ = std::make_unique<ml::RandomForest>(
-            ml::RandomForest::deserialize(model_is));
-        snap.flat_ = std::make_unique<const ml::FlatEnsemble>(
-            snap.forest_->compile());
-    } else {
-        fatal("ModelSnapshot: unrecognized model header (expected "
-              "'gcm-cost-model v1', 'gcm-gbt v1' or 'gcm-rf v1')");
-    }
-    return snap;
+    return fromCostModel(core::SignatureCostModel::deserialize(is));
 }
 
 ModelSnapshot
 ModelSnapshot::fromCostModel(core::SignatureCostModel model)
 {
     ModelSnapshot snap;
-    snap.kind_ = SnapshotKind::CostModel;
     model.compile();
     snap.cost_model_ = std::make_unique<core::SignatureCostModel>(
         std::move(model));
     return snap;
-}
-
-const core::SignatureCostModel &
-ModelSnapshot::costModel() const
-{
-    GCM_ASSERT(kind_ == SnapshotKind::CostModel,
-               "ModelSnapshot: not a cost-model snapshot");
-    return *cost_model_;
-}
-
-double
-ModelSnapshot::predictRow(const float *x) const
-{
-    GCM_ASSERT(kind_ != SnapshotKind::CostModel,
-               "ModelSnapshot::predictRow: cost-model snapshots "
-               "serve (network, device) queries, not rows");
-    return flat_->predictRow(x);
-}
-
-const ml::FlatEnsemble &
-ModelSnapshot::flat() const
-{
-    if (kind_ == SnapshotKind::CostModel)
-        return cost_model_->flat();
-    return *flat_;
 }
 
 ModelRegistry::Version
@@ -168,18 +98,6 @@ ModelRegistry::rollback()
     noteRegistryState(active_, snapshots_.size());
 }
 
-ModelRegistry::ActiveModel
-ModelRegistry::previousModel() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (previous_ == 0)
-        return {};
-    const auto it = snapshots_.find(previous_);
-    if (it == snapshots_.end())
-        return {};
-    return {previous_, it->second};
-}
-
 void
 ModelRegistry::retire(Version version)
 {
@@ -190,9 +108,9 @@ ModelRegistry::retire(Version version)
         fatal("ModelRegistry::retire: version ", version,
               " is active; activate another version first");
     snapshots_.erase(version);
-    // Eviction only drops the registry's reference: batches (and the
-    // front end's stale tier) that pinned the snapshot keep it alive
-    // through their shared_ptr until they finish.
+    // Eviction only drops the registry's reference: batches and
+    // front-end runs that pinned the snapshot keep it alive through
+    // their shared_ptr until they finish.
     if (version == previous_)
         previous_ = 0;
     obs::counterAdd("serve.registry.retires");

@@ -11,17 +11,10 @@
  * in-flight batches finish on the version they started with and the
  * old snapshot is freed when its last batch drops the reference.
  *
- * Snapshots are backend-agnostic. Loading sniffs the self-describing
- * header of the stream:
- *
- *   gcm-cost-model v1  -> core::SignatureCostModel (the servable kind
- *                         PredictionService requires)
- *   gcm-gbt v1         -> bare ml::GradientBoostedTrees regressor
- *   gcm-rf v1          -> bare ml::RandomForest regressor
- *
- * Bare regressors predict feature rows (predictRow) rather than
- * (network, device) queries; they exist so retraining pipelines can
- * stage any learner through the same registry/rollback machinery.
+ * A snapshot is always an end-to-end core::SignatureCostModel, the one
+ * kind of model that answers (network, device) queries. Loading
+ * accepts only a stream that starts with the `gcm-cost-model v1`
+ * header and rejects anything else with a GcmError.
  */
 
 #ifndef GCM_SERVE_REGISTRY_HH
@@ -32,32 +25,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/cost_model.hh"
-#include "ml/gbt.hh"
-#include "ml/random_forest.hh"
 
 namespace gcm::serve
 {
 
-/** Which learner a snapshot wraps. */
-enum class SnapshotKind
-{
-    CostModel,    // end-to-end SignatureCostModel (servable)
-    Gbt,          // bare gradient-boosted-trees regressor
-    RandomForest, // bare random-forest regressor
-};
-
-/** Display name of a snapshot kind. */
-const char *snapshotKindName(SnapshotKind kind);
-
 /**
  * One immutable loaded model.
  *
- * Snapshot construction is where ensembles get compiled: both
- * factories flatten the wrapped ensemble into a ml::FlatEnsemble
+ * Snapshot construction is where the ensemble gets compiled: both
+ * factories flatten the cost model's booster into a ml::FlatEnsemble
  * (bit-identical by the ml/flat_ensemble.hh contract) before the
  * snapshot is frozen, so every published snapshot carries a ready
  * compiled engine and the serving hot path never touches the
@@ -67,40 +46,24 @@ class ModelSnapshot
 {
   public:
     /**
-     * Load a snapshot from a serialized model stream, dispatching on
-     * the header magic (see file comment). Throws GcmError for
-     * unrecognized or malformed content. The contained ensemble is
-     * compiled before the snapshot is returned.
+     * Load a snapshot from a serialized `gcm-cost-model v1` stream.
+     * Throws GcmError for any other header or malformed content. The
+     * model is compiled before the snapshot is returned.
      */
     static ModelSnapshot fromStream(std::istream &is);
 
     /** Wrap (and compile) an already-constructed cost model. */
     static ModelSnapshot fromCostModel(core::SignatureCostModel model);
 
-    SnapshotKind kind() const { return kind_; }
-
-    /** @pre kind() == SnapshotKind::CostModel */
-    const core::SignatureCostModel &costModel() const;
-
-    /**
-     * Predict one raw feature row with a bare regressor snapshot
-     * (routed through the compiled ensemble).
-     * @pre kind() is Gbt or RandomForest.
-     */
-    double predictRow(const float *x) const;
-
-    /** The snapshot's compiled inference engine (never null). */
-    const ml::FlatEnsemble &flat() const;
+    const core::SignatureCostModel &costModel() const
+    {
+        return *cost_model_;
+    }
 
   private:
     ModelSnapshot() = default;
 
-    SnapshotKind kind_ = SnapshotKind::CostModel;
     std::unique_ptr<const core::SignatureCostModel> cost_model_;
-    std::unique_ptr<const ml::GradientBoostedTrees> gbt_;
-    std::unique_ptr<const ml::RandomForest> forest_;
-    /** Compiled form of a bare regressor (cost models own theirs). */
-    std::unique_ptr<const ml::FlatEnsemble> flat_;
 };
 
 /**
@@ -148,19 +111,11 @@ class ModelRegistry
     void rollback();
 
     /**
-     * The version that was active before the most recent swap, as a
-     * pinnable (version, snapshot) pair; {0, nullptr} when there is
-     * none (or it has been retired). The front end's stale tier pins
-     * this once per run and serves degraded responses from it.
-     */
-    ActiveModel previousModel() const;
-
-    /**
      * Evict a published, non-active version from the registry. Throws
      * GcmError for unknown or currently-active versions. Holders of a
-     * pinned shared_ptr (in-flight batches, the front end's stale
-     * tier) keep the snapshot alive until they drop it; retire only
-     * prevents new pins.
+     * pinned shared_ptr (in-flight batches, a front-end run) keep the
+     * snapshot alive until they drop it; retire only prevents new
+     * pins.
      */
     void retire(Version version);
 

@@ -33,7 +33,6 @@ serveTierName(ServeTier tier)
 {
     switch (tier) {
       case ServeTier::Full: return "full";
-      case ServeTier::Stale: return "stale";
       case ServeTier::Analytical: return "analytical";
       case ServeTier::Shed: return "shed";
     }
@@ -164,30 +163,20 @@ PredictionService::resolve(const ServeRequest &request,
         NetworkMemo &memo = it->second;
         // Encode once per (network, model version); the batch pins
         // one version, so within a batch this hits after the first
-        // request for the network. A few versions are retained so a
-        // front-end worker alternating active (full tier) and
-        // previous (stale tier) batches does not re-encode per flip.
-        const std::vector<float> *enc = memo.findEnc(version);
-        if (enc == nullptr) {
+        // request for the network.
+        if (memo.enc_version != version) {
             try {
-                std::vector<float> fresh =
-                    model.encodeNetwork(memo.graph);
-                if (memo.enc_by_version.size() >= 4) {
-                    memo.enc_by_version.erase(
-                        memo.enc_by_version.begin());
-                }
-                memo.enc_by_version.emplace_back(version,
-                                                 std::move(fresh));
-                enc = &memo.enc_by_version.back().second;
+                memo.enc = model.encodeNetwork(memo.graph);
             } catch (const GcmError &e) {
                 failWith(ServeErrorCode::Internal,
                          std::string("prediction failed: ")
                              + e.what());
                 return r;
             }
+            memo.enc_version = version;
         }
         r.graph = &memo.graph;
-        r.net_features = enc;
+        r.net_features = &memo.enc;
         r.key.graph_fp = memo.fp;
     } else {
         try {
@@ -242,16 +231,11 @@ PredictionService::processBatch(const std::vector<ServeRequest> &requests,
     for (std::size_t i = 0; i < requests.size(); ++i)
         responses[i].id = requests[i].id;
 
-    if (!active
-        || active.snapshot->kind() != SnapshotKind::CostModel) {
-        const std::string msg =
-            !active ? "no model published"
-                    : std::string("active snapshot is a bare '")
-                          + snapshotKindName(active.snapshot->kind())
-                          + "' regressor, not servable";
+    if (!active) {
         for (std::size_t i = 0; i < requests.size(); ++i) {
             responses[i] = ServeResponse::failure(
-                requests[i].id, ServeErrorCode::NoModel, msg);
+                requests[i].id, ServeErrorCode::NoModel,
+                "no model published");
         }
         obs::counterAdd("serve.responses.error", requests.size());
         return responses;

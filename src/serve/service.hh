@@ -62,13 +62,11 @@ const char *priorityName(Priority p);
 
 /**
  * Which rung of the degradation ladder produced a response (see
- * frontend.hh, the one serving path). DegradeMode::ShedOnly only
- * ever produces Full and Shed.
+ * frontend.hh, the one serving path).
  */
 enum class ServeTier
 {
-    Full,       // active snapshot via PredictionService
-    Stale,      // pinned previous registry version
+    Full,       // the pinned active model via PredictionService
     Analytical, // model-free roofline estimate (AnalyticalEstimator)
     Shed,       // rejected with a structured `overloaded` response
 };
@@ -182,10 +180,10 @@ class PredictionService
 
     /**
      * Serve one batch against an explicitly pinned snapshot. The
-     * front end uses this for both the full tier (pinned active) and
-     * the stale tier (pinned previous version): holding the
-     * shared_ptr for the batch lifetime means a concurrent rollback()
-     * + retire() cannot free the snapshot under an in-flight batch.
+     * front end pins the active model once per run and serves every
+     * full-tier batch from it: holding the shared_ptr means a
+     * concurrent rollback() + retire() cannot free the snapshot under
+     * an in-flight batch.
      */
     std::vector<ServeResponse>
     processBatch(const std::vector<ServeRequest> &requests,
@@ -226,31 +224,19 @@ class PredictionService
     std::shared_ptr<ShardedLruCache> cache_;
     /**
      * Per zoo network: deployment graph, structural fingerprint, and
-     * the encoder outputs for the model versions that last served it.
+     * the encoder output for the model version that last served it.
      * The zoo is a fixed finite set, so this is bounded; it lets the
      * cold path skip rebuilding, re-quantizing and — per model
      * version — re-encoding the network, which dominates cold-path
-     * cost. A front-end worker alternates between the active (full
-     * tier) and previous (stale tier) versions batch to batch, so a
-     * couple of versions are kept per network instead of one.
+     * cost.
      */
     struct NetworkMemo
     {
         dnn::Graph graph;
         std::uint64_t fp = 0;
-        /** Encoder output per model version (small, LRU-capped). */
-        std::vector<std::pair<ModelRegistry::Version,
-                              std::vector<float>>>
-            enc_by_version;
-
-        const std::vector<float> *
-        findEnc(ModelRegistry::Version v) const
-        {
-            for (const auto &e : enc_by_version)
-                if (e.first == v)
-                    return &e.second;
-            return nullptr;
-        }
+        /** 0: nothing encoded yet (versions start at 1). */
+        ModelRegistry::Version enc_version = 0;
+        std::vector<float> enc;
     };
     std::map<std::string, NetworkMemo> graph_memo_;
     /**

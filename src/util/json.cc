@@ -282,4 +282,12 @@ appendJsonString(std::string &out, const std::string &s)
     out.push_back('"');
 }
 
+std::string
+formatNumber(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 } // namespace gcm::json

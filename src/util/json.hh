@@ -71,6 +71,12 @@ Value parseJson(const std::string &text);
 /** Append `s` to `os` as a quoted JSON string with escapes. */
 void appendJsonString(std::string &out, const std::string &s);
 
+/**
+ * `v` as a JSON number, printed "%.17g" so it parses back to the same
+ * double. The caller keeps `v` finite (JSON has no NaN or Infinity).
+ */
+std::string formatNumber(double v);
+
 } // namespace gcm::json
 
 #endif // GCM_UTIL_JSON_HH

@@ -1,18 +1,22 @@
 #!/bin/sh
 # CLI smoke test for the serving commands.
 #
-#   sh cli_serve.sh GCM FIXTURE WORKDIR
+#   sh cli_serve.sh GCM FIXTURE LADDER_GOLDEN WORKDIR
 #
 # Trains a model with GCM, serves FIXTURE (mixed valid and malformed
 # gcm-serve/v1 lines, no bulk lines) at 1 and 4 workers and checks the
 # two outputs are byte-identical with one response line per request.
-# Then checks that `gcm loadgen` runs and that a flag it does not read
-# (the removed --qps) makes it exit non-zero.
+# Then replays an overloaded `gcm loadgen` run that reaches every
+# ladder rung and compares its response stream with LADDER_GOLDEN,
+# checks that flags the commands do not read (the removed --qps,
+# --soft, --hard and --degrade) make them exit non-zero, and that a
+# model file with a cyclic tree is refused with an error, not a crash.
 set -eu
 
 gcm=$1
 fixture=$2
-work=$3
+ladder_golden=$3
+work=$4
 mkdir -p "$work"
 
 fail() {
@@ -37,9 +41,31 @@ torn=$(grep -c -v '^{"id": .*}$' "$work/serve_w1.jsonl" || true)
 grep -q '"ok": true' "$work/serve_w1.jsonl" || fail "no ok response"
 grep -q '"ok": false' "$work/serve_w1.jsonl" || fail "no error response"
 
-"$gcm" loadgen --model "$work/m.txt" --requests 200 > /dev/null \
-    || fail "gcm loadgen --requests 200 failed"
-if "$gcm" loadgen --model "$work/m.txt" --qps 5000 > /dev/null 2>&1; then
-    fail "gcm loadgen accepted the unread flag --qps"
-fi
+# 300 requests at 2x capacity: 193 full, 100 analytical, 7 shed.
+"$gcm" loadgen --model "$work/m.txt" --requests 300 --queue 64 \
+    --watermark 32 --bulk-fraction 0.25 --workers 4 \
+    --out "$work/ladder.jsonl" > /dev/null \
+    || fail "gcm loadgen --watermark 32 failed"
+cmp "$work/ladder.jsonl" "$ladder_golden" \
+    || fail "loadgen ladder responses differ from $ladder_golden"
+
+for flag in "--qps 5000" "--soft 32" "--hard 48" "--degrade shed"; do
+    # shellcheck disable=SC2086 # the flag and its value split on purpose
+    if "$gcm" loadgen --model "$work/m.txt" --requests 10 $flag \
+        > /dev/null 2>&1; then
+        fail "gcm loadgen accepted the unread flag $flag"
+    fi
+done
+
+# Point the first tree's root at itself: the nodes no longer form a
+# tree, so loading must fail with exit 1 and an error message.
+sed '0,/^node /s/^node \([^ ]*\) \([^ ]*\) \([^ ]*\) [^ ]* [^ ]*/node \1 \2 \3 0 0/' \
+    "$work/m.txt" > "$work/cyclic.txt"
+cmp -s "$work/m.txt" "$work/cyclic.txt" && fail "cyclic model edit missed"
+status=0
+"$gcm" serve --model "$work/cyclic.txt" < /dev/null > /dev/null \
+    2> "$work/cyclic.err" || status=$?
+[ "$status" -eq 1 ] || fail "cyclic model: exit $status, want 1"
+grep -q '^error: .*reached twice' "$work/cyclic.err" \
+    || fail "cyclic model: no error message"
 echo "cli_serve: ok ($requests requests)"

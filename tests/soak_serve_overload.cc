@@ -6,11 +6,11 @@
  * Drives an open-loop Poisson stream at 2x the front end's full-tier
  * capacity — a regime a closed-loop generator can never reach — with
  * GCM_THREADS workers racing over the shared cache and the pinned
- * registry snapshots, while an operator thread churns activations,
+ * registry snapshot, while an operator thread churns activations,
  * rollbacks and a retire. Asserts the robustness acceptance criteria
  * of the degradation ladder:
  *
- *   - exact accounting: full + stale + analytical + shed == offered
+ *   - exact accounting: full + analytical + shed == offered
  *   - the ladder actually sheds (shed_rate > 0) at 2x overload
  *   - degradation preserves goodput >= 80% of full-tier capacity
  *   - every arrival gets exactly one well-formed response line
@@ -52,8 +52,8 @@ check(bool ok, const std::string &what)
 int
 main()
 {
-    // Small trained model, published twice so the stale rung has a
-    // previous version to pin.
+    // Small trained model, published twice so the operator has a
+    // version to swap to and retire.
     const auto &ctx = gcmtest::smallContext();
     std::vector<std::size_t> devices(ctx.fleet().size());
     for (std::size_t i = 0; i < devices.size(); ++i)
@@ -88,8 +88,8 @@ main()
     gen.bulk_fraction = 0.25;
     gen.offered_qps = 2.0 * frontend.capacityQps();
 
-    // Operator churn while the run is in flight: the pinned snapshots
-    // must survive rollback + retire of the version they point at.
+    // Operator churn while the run is in flight: the pinned snapshot
+    // must survive rollback + retire of the version it points at.
     std::thread operator_thread([&registry, v2] {
         for (int i = 0; i < 50; ++i) {
             registry.activate(1 + (i % 2));
@@ -106,9 +106,7 @@ main()
     std::fprintf(stderr, "%s\n", fr.summary().c_str());
 
     check(fr.offered == gen.requests, "offered != requests generated");
-    check(fr.tier_full + fr.tier_stale + fr.tier_analytical
-              + fr.tier_shed
-          == fr.offered,
+    check(fr.tier_full + fr.tier_analytical + fr.tier_shed == fr.offered,
           "tier accounting does not sum to offered");
     check(fr.served() == fr.offered - fr.tier_shed,
           "served != offered - shed");

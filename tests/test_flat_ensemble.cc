@@ -205,21 +205,6 @@ TEST(FlatEnsembleDiff, ModelPredictMatchesNodeWalker)
 
 TEST(FlatEnsembleServe, HotSwappedSnapshotMatchesSourceModel)
 {
-    // v1: a bare GBT regressor snapshot.
-    Rng rng(7);
-    const std::size_t cols = 5;
-    const ml::Dataset train = randomDataset(rng, 160, cols);
-    ml::GbtParams gp;
-    gp.n_estimators = 20;
-    ml::GradientBoostedTrees gbt(gp);
-    gbt.train(train);
-
-    serve::ModelRegistry registry;
-    std::stringstream gbt_stream;
-    gbt.serialize(gbt_stream);
-    registry.publish(serve::ModelSnapshot::fromStream(gbt_stream));
-
-    // v2: a full cost model, hot-swapped in by the second publish.
     const auto &ctx = gcmtest::smallContext();
     std::vector<std::size_t> devices(ctx.fleet().size());
     for (std::size_t i = 0; i < devices.size(); ++i)
@@ -228,46 +213,40 @@ TEST(FlatEnsembleServe, HotSwappedSnapshotMatchesSourceModel)
     cfg.gbt = gcmtest::fastGbt();
     const auto source = core::SignatureCostModel::train(
         ctx.suite(), ctx.latencyMatrix(devices), cfg);
-    std::stringstream model_stream;
-    source.serialize(model_stream);
-    registry.publish(serve::ModelSnapshot::fromStream(model_stream));
+    std::stringstream text;
+    source.serialize(text);
 
-    const auto active = registry.active();
-    ASSERT_EQ(active.version, 2u);
-    ASSERT_EQ(active.snapshot->kind(), serve::SnapshotKind::CostModel);
-    // Snapshot load compiled the ensemble...
-    ASSERT_TRUE(active.snapshot->costModel().compiled());
-    // ...and the compiled path returns byte-identical predictions to
-    // the source model, which predicts through the node walker here
-    // (it was never compiled).
+    // v1 and v2 load the same artifact; the second publish hot-swaps.
+    serve::ModelRegistry registry;
+    for (int v = 0; v < 2; ++v) {
+        std::istringstream is(text.str());
+        registry.publish(serve::ModelSnapshot::fromStream(is));
+    }
+
+    // Snapshot load compiled the ensemble, and the compiled path
+    // returns byte-identical predictions to the source model, which
+    // predicts through the node walker here (it was never compiled).
     ASSERT_FALSE(source.compiled());
-    for (std::size_t n = 0; n < ctx.suite().size(); n += 5) {
-        for (std::size_t d = 0; d < devices.size(); d += 7) {
-            std::vector<double> sig;
-            for (std::size_t s : source.signature())
-                sig.push_back(ctx.latencyMs(d, s));
-            const double want =
-                source.predictMs(ctx.suite()[n], sig);
-            const double got = active.snapshot->costModel().predictMs(
-                ctx.suite()[n], sig);
-            ASSERT_EQ(bitsOf(got), bitsOf(want))
-                << "network " << n << " device " << d;
+    const auto expectMatchesSource = [&](serve::ModelRegistry::Version v) {
+        const auto active = registry.active();
+        ASSERT_EQ(active.version, v);
+        ASSERT_TRUE(active.snapshot->costModel().compiled());
+        for (std::size_t n = 0; n < ctx.suite().size(); n += 5) {
+            for (std::size_t d = 0; d < devices.size(); d += 7) {
+                std::vector<double> sig;
+                for (std::size_t s : source.signature())
+                    sig.push_back(ctx.latencyMs(d, s));
+                const double want =
+                    source.predictMs(ctx.suite()[n], sig);
+                const double got =
+                    active.snapshot->costModel().predictMs(
+                        ctx.suite()[n], sig);
+                ASSERT_EQ(bitsOf(got), bitsOf(want))
+                    << "v" << v << " network " << n << " device " << d;
+            }
         }
-    }
-
-    // The rolled-back bare snapshot predicts rows through its own
-    // compiled ensemble, byte-identical to the source booster.
+    };
+    expectMatchesSource(2);
     registry.rollback();
-    const auto bare = registry.active();
-    ASSERT_EQ(bare.snapshot->kind(), serve::SnapshotKind::Gbt);
-    const std::vector<float> queries = randomQueries(rng, 50, cols);
-    for (std::size_t i = 0; i < 50; ++i) {
-        const float *x = queries.data() + i * cols;
-        ASSERT_EQ(bitsOf(bare.snapshot->predictRow(x)),
-                  bitsOf(gbt.predictRow(x)))
-            << i;
-        ASSERT_EQ(bitsOf(bare.snapshot->flat().predictRow(x)),
-                  bitsOf(gbt.predictRow(x)))
-            << i;
-    }
+    expectMatchesSource(1);
 }

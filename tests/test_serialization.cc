@@ -2,7 +2,8 @@
  * @file
  * Unit tests for model serialization: regression trees, the GBT
  * booster and the end-to-end SignatureCostModel round-trip exactly
- * through their text formats, and corrupt counts are rejected.
+ * through their text formats, and corrupt counts and malformed trees
+ * are rejected.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +51,19 @@ withCount(const std::string &text, const std::string &field,
     return text.substr(0, begin) + count + text.substr(end);
 }
 
+/** `text` with its first tree's root node line replaced by `node`. */
+std::string
+withRootNode(const std::string &text, const std::string &node)
+{
+    const auto tree = text.find("\ntree ");
+    EXPECT_NE(tree, std::string::npos);
+    // The edits below assume a root with children to rewire.
+    EXPECT_GE(std::stoul(text.substr(tree + 6)), 3u);
+    const auto at = text.find("\nnode ", tree);
+    const auto end = text.find('\n', at + 1);
+    return text.substr(0, at + 1) + node + text.substr(end);
+}
+
 /** Loading `text` as a served model artifact raises GcmError. */
 void
 expectRejected(const std::string &text)
@@ -83,21 +97,68 @@ TEST(Serialization, HugeTreeNodeCountIsRejected)
     expectRejected(withCount(costModelText(), "tree", "4000000000"));
 }
 
-TEST(Serialization, HugeTreeCountIsRejected)
+namespace
+{
+
+std::string
+gbtText()
 {
     ml::GradientBoostedTrees gbt;
     gbt.train(waveDataset(100, 5));
-    std::ostringstream g;
-    gbt.serialize(g);
-    expectRejected(withCount(g.str(), "trees", "4000000000"));
+    std::ostringstream os;
+    gbt.serialize(os);
+    return os.str();
+}
 
+std::string
+forestText()
+{
     ml::RandomForestParams p;
     p.n_trees = 3;
     ml::RandomForest rf(p);
     rf.train(waveDataset(100, 6));
-    std::ostringstream r;
-    rf.serialize(r);
-    expectRejected(withCount(r.str(), "trees", "4000000000"));
+    std::ostringstream os;
+    rf.serialize(os);
+    return os.str();
+}
+
+/** Both bare-regressor parsers reject `edit` of their own artifact. */
+template <typename Edit>
+void
+expectRegressorsReject(Edit edit)
+{
+    std::istringstream g(edit(gbtText()));
+    EXPECT_THROW((void)ml::GradientBoostedTrees::deserialize(g),
+                 GcmError);
+    std::istringstream r(edit(forestText()));
+    EXPECT_THROW((void)ml::RandomForest::deserialize(r), GcmError);
+}
+
+} // namespace
+
+TEST(Serialization, HugeTreeCountIsRejected)
+{
+    expectRegressorsReject([](const std::string &text) {
+        return withCount(text, "trees", "4000000000");
+    });
+}
+
+TEST(Serialization, MalformedTreesAreRejected)
+{
+    // Each edit keeps every child index in range, so only a check
+    // that the nodes form one tree can catch it. A cycle once sent
+    // FlatEnsemble::compile's BFS round until std::bad_alloc.
+    const std::string self_loop = "node 0 0 0 0 1 0";   // root -> root
+    const std::string shared = "node 0 0 0 1 1 0";      // 1 reached twice
+    const std::string orphans = "node -1 0 0 -1 -1 0";  // leaf root
+    const std::string model = costModelText();
+    for (const std::string &root : {self_loop, shared, orphans}) {
+        SCOPED_TRACE(root);
+        expectRejected(withRootNode(model, root));
+        expectRegressorsReject([&](const std::string &text) {
+            return withRootNode(text, root);
+        });
+    }
 }
 
 TEST(Serialization, HugeSignatureCountIsRejected)

@@ -179,13 +179,16 @@ TEST(Registry, PublishActivateRollback)
 
 TEST(Registry, SniffsAllThreeModelKinds)
 {
-    // Cost model.
+    // A cost model loads...
     std::stringstream cm;
     testModel().serialize(cm);
-    EXPECT_EQ(serve::ModelSnapshot::fromStream(cm).kind(),
-              serve::SnapshotKind::CostModel);
+    EXPECT_EQ(serve::ModelSnapshot::fromStream(cm)
+                  .costModel()
+                  .signatureNames(),
+              testModel().signatureNames());
 
-    // Bare GBT and RF regressors stage through the same registry.
+    // ...but bare GBT and RF regressors answer feature rows, not
+    // (network, device) queries, so the registry rejects them.
     Rng rng(11);
     ml::Dataset ds(2);
     for (int i = 0; i < 200; ++i) {
@@ -197,18 +200,13 @@ TEST(Registry, SniffsAllThreeModelKinds)
     gbt.train(ds);
     std::stringstream gs;
     gbt.serialize(gs);
-    const auto gbt_snap = serve::ModelSnapshot::fromStream(gs);
-    EXPECT_EQ(gbt_snap.kind(), serve::SnapshotKind::Gbt);
-    const float row[] = {1.0F, 2.0F};
-    EXPECT_TRUE(std::isfinite(gbt_snap.predictRow(row)));
+    EXPECT_THROW((void)serve::ModelSnapshot::fromStream(gs), GcmError);
 
     ml::RandomForest rf;
     rf.train(ds);
     std::stringstream rs;
     rf.serialize(rs);
-    const auto rf_snap = serve::ModelSnapshot::fromStream(rs);
-    EXPECT_EQ(rf_snap.kind(), serve::SnapshotKind::RandomForest);
-    EXPECT_TRUE(std::isfinite(rf_snap.predictRow(row)));
+    EXPECT_THROW((void)serve::ModelSnapshot::fromStream(rs), GcmError);
 
     std::stringstream garbage("not a model at all");
     EXPECT_THROW((void)serve::ModelSnapshot::fromStream(garbage),
@@ -892,7 +890,7 @@ deterministicDigest(const serve::FrontEndReport &r)
 {
     std::ostringstream oss;
     oss << r.workers << '|' << r.offered << '|' << r.ok << '|'
-        << r.errors << '|' << r.tier_full << '|' << r.tier_stale << '|'
+        << r.errors << '|' << r.tier_full << '|'
         << r.tier_analytical << '|' << r.tier_shed << '|'
         << r.peak_queue_interactive << '|' << r.peak_queue_bulk << '|'
         << r.sim_duration_ms << '|' << r.goodput_qps << '|'
@@ -906,7 +904,7 @@ deterministicDigest(const serve::FrontEndReport &r)
 std::string
 tierOf(const std::string &line)
 {
-    for (const char *t : {"stale", "analytical", "shed"}) {
+    for (const char *t : {"analytical", "shed"}) {
         const std::string tag =
             std::string("\"degraded\": {\"tier\": \"") + t + "\"}";
         if (line.find(tag) != std::string::npos)
@@ -994,25 +992,31 @@ TEST(FrontEnd, OverloadLadderAccountsExactly)
     // The hard acceptance identity: every offered request is
     // accounted to exactly one tier.
     EXPECT_EQ(report.offered, arrivals.size());
-    EXPECT_EQ(report.tier_full + report.tier_stale
-                  + report.tier_analytical + report.tier_shed,
+    EXPECT_EQ(report.tier_full + report.tier_analytical
+                  + report.tier_shed,
               report.offered);
     EXPECT_EQ(report.served(), report.offered - report.tier_shed);
 
     // 2x overload walks the whole ladder and ends up shedding...
-    EXPECT_GT(report.tier_stale, 0u);
+    EXPECT_GT(report.tier_full, 0u);
     EXPECT_GT(report.tier_analytical, 0u);
     EXPECT_GT(report.tier_shed, 0u);
     EXPECT_GT(report.shed_rate, 0.0);
     // ...while degradation keeps goodput at >= 80% of capacity.
     EXPECT_GE(report.goodput_qps, 0.8 * fe.capacityQps());
 
-    // The rendered stream agrees with the report, line by line.
+    // The rendered stream agrees with the report, line by line, and
+    // every model-backed response comes from the active version.
     std::map<std::string, std::size_t> tiers;
-    for (const auto &line : responses)
+    for (const auto &line : responses) {
         ++tiers[tierOf(line)];
+        if (tierOf(line) == "full") {
+            EXPECT_NE(line.find("\"model_version\": 2}"),
+                      std::string::npos)
+                << line;
+        }
+    }
     EXPECT_EQ(tiers["full"], report.tier_full);
-    EXPECT_EQ(tiers["stale"], report.tier_stale);
     EXPECT_EQ(tiers["analytical"], report.tier_analytical);
     EXPECT_EQ(tiers["shed"], report.tier_shed);
 }
@@ -1023,8 +1027,7 @@ TEST(FrontEnd, ShedResponsesCarryBackpressureContext)
     cfg.workers = 1;
     cfg.batch_size = 4;
     cfg.queue_capacity = 8;
-    cfg.soft_watermark = 2;
-    cfg.hard_watermark = 4;
+    cfg.watermark = 4;
     serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
                              cfg);
     // A same-instant burst twice the queue capacity: the tail sheds.
@@ -1075,7 +1078,7 @@ TEST(FrontEnd, DegradedTagIsVersionGated)
     const auto arrivals = overloadArrivals(fe, 1500, 31, 2.0);
     const auto report = fe.run(arrivals, &responses);
     ASSERT_GT(report.tier_full, 0u);
-    ASSERT_GT(report.tier_stale + report.tier_analytical, 0u);
+    ASSERT_GT(report.tier_analytical, 0u);
     for (const auto &line : responses) {
         const bool tagged =
             line.find("\"degraded\"") != std::string::npos;
@@ -1092,7 +1095,7 @@ TEST(FrontEnd, InteractiveDrainsBeforeBulk)
                              cfg);
     // 100 bulk requests land first, then 8 interactive ones in the
     // same instant. Per-class queues mean the interactive class sits
-    // below the soft watermark (Full) while bulk is past it (Stale),
+    // below the watermark (Full) while bulk is past it (Analytical),
     // and interactive-first dispatch keeps its peak depth small.
     std::vector<serve::Arrival> arrivals;
     for (int i = 0; i < 100; ++i)
@@ -1120,19 +1123,20 @@ TEST(FrontEnd, InteractiveDrainsBeforeBulk)
             EXPECT_EQ(tierOf(responses[i]), "full") << responses[i];
         }
     }
-    EXPECT_GT(report.tier_stale, 0u); // deep bulk queue degraded
+    EXPECT_GT(report.tier_analytical, 0u); // deep bulk queue degraded
 }
 
 TEST(FrontEnd, ShedOnlyModeSkipsTheMiddleRungs)
 {
+    // A watermark at the queue capacity is binary accept/shed: an
+    // admitted request never sits that deep, so it is always Full.
     serve::FrontEndConfig cfg;
     cfg.workers = 2;
-    cfg.degrade = serve::DegradeMode::ShedOnly;
+    cfg.watermark = cfg.queue_capacity;
     serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
                              cfg);
     const auto arrivals = overloadArrivals(fe, 2000, 5, 2.0);
     const auto report = fe.run(arrivals, nullptr);
-    EXPECT_EQ(report.tier_stale, 0u);
     EXPECT_EQ(report.tier_analytical, 0u);
     EXPECT_GT(report.tier_shed, 0u);
     EXPECT_EQ(report.tier_full + report.tier_shed, report.offered);
@@ -1141,18 +1145,73 @@ TEST(FrontEnd, ShedOnlyModeSkipsTheMiddleRungs)
 TEST(FrontEnd, ConfigValidation)
 {
     serve::FrontEndConfig bad;
-    bad.soft_watermark = 100;
-    bad.hard_watermark = 50; // soft > hard
+    bad.watermark = bad.queue_capacity + 1;
     EXPECT_THROW(bad.validate(), GcmError);
     bad = {};
     bad.queue_capacity = 4;
     bad.batch_size = 8; // capacity < one batch
     EXPECT_THROW(bad.validate(), GcmError);
-    EXPECT_THROW((void)serve::parseDegradeMode("bogus"), GcmError);
-    EXPECT_EQ(serve::parseDegradeMode("shed"),
-              serve::DegradeMode::ShedOnly);
-    EXPECT_STREQ(serve::degradeModeName(serve::DegradeMode::Ladder),
-                 "ladder");
+    bad = {};
+    bad.analytical_cost_ms = 0.0;
+    EXPECT_THROW(bad.validate(), GcmError);
+
+    serve::FrontEndConfig shed_only;
+    shed_only.watermark = shed_only.queue_capacity;
+    EXPECT_NO_THROW(shed_only.validate());
+}
+
+TEST(FrontEnd, PlanIgnoresConcurrentSwaps)
+{
+    // The plan reads the registry once, when it pins the active
+    // model, so an operator flipping activate() mid-run cannot change
+    // the tier mix. The loop is bounded by runs; the operator flips
+    // until the runs are done, however fast it is.
+    serve::ModelRegistry registry;
+    std::stringstream s1, s2;
+    testModel().serialize(s1);
+    testModel().serialize(s2);
+    registry.publish(serve::ModelSnapshot::fromStream(s1));
+    registry.publish(serve::ModelSnapshot::fromStream(s2));
+
+    serve::FrontEndConfig cfg;
+    cfg.workers = 2;
+    serve::ServerFrontEnd fe(registry, testDeviceTable(), cfg);
+    // 2x capacity. All but one in 64 requests name an unknown device
+    // and fail fast when executed, so planning is most of each run
+    // and a swap has every chance to land inside a plan.
+    std::vector<serve::Arrival> arrivals;
+    const double step_ms = 500.0 / fe.capacityQps();
+    for (int i = 0; i < 20000; ++i) {
+        const std::string device = i % 64 == 0 ? firstDeviceName() : "nope";
+        arrivals.push_back(
+            {i * step_ms, "{\"id\": \"n" + std::to_string(i)
+                              + "\", \"network\": \"mobilenet_v2_1.0\", "
+                                "\"device\": \""
+                              + device + "\"}"});
+    }
+    const std::string expected =
+        deterministicDigest(fe.run(arrivals, nullptr));
+
+    std::atomic<bool> done{false};
+    std::thread operator_thread([&] {
+        for (int i = 0; !done.load(); ++i)
+            registry.activate(1 + (i % 2));
+    });
+    for (int run = 0; run < 8; ++run) {
+        std::vector<std::string> responses;
+        const auto report = fe.run(arrivals, &responses);
+        EXPECT_EQ(deterministicDigest(report), expected) << "run " << run;
+        // Every model-backed line of one run carries one version.
+        std::set<std::string> versions;
+        for (const auto &line : responses) {
+            const auto at = line.find("\"model_version\": ");
+            if (tierOf(line) == "full" && at != std::string::npos)
+                versions.insert(line.substr(at, line.find('}', at) - at));
+        }
+        EXPECT_EQ(versions.size(), 1u) << "run " << run;
+    }
+    done.store(true);
+    operator_thread.join();
 }
 
 TEST(FrontEnd, RetireDuringInFlightBatchKeepsPinnedSnapshot)
@@ -1175,7 +1234,6 @@ TEST(FrontEnd, RetireDuringInFlightBatchKeepsPinnedSnapshot)
     registry.rollback();  // active back to v1
     registry.retire(v2);  // v2 gone from the registry...
     EXPECT_EQ(registry.snapshot(v2), nullptr);
-    EXPECT_FALSE(registry.previousModel()); // ...and not pinnable
 
     // ...but the in-flight batch still serves on its pinned version.
     const std::vector<serve::ServeRequest> batch = {

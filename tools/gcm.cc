@@ -363,10 +363,7 @@ cmdProfile(const Flags &flags)
     return 0;
 }
 
-/**
- * Load --model into a registry and fail early unless it is a
- * servable gcm-cost-model v1 snapshot.
- */
+/** Load --model (a gcm-cost-model v1 file) into a registry. */
 void
 publishModelOrDie(const Flags &flags,
                   serve::ModelRegistry &registry)
@@ -378,13 +375,6 @@ publishModelOrDie(const Flags &flags,
     if (!is)
         fatal("cannot open ", model_path);
     registry.publish(serve::ModelSnapshot::fromStream(is));
-    const auto active = registry.active();
-    if (active.snapshot->kind() != serve::SnapshotKind::CostModel) {
-        fatal("--model must be a gcm-cost-model v1 file; '", model_path,
-              "' holds a bare ",
-              serve::snapshotKindName(active.snapshot->kind()),
-              " regressor");
-    }
 }
 
 /**
@@ -423,16 +413,12 @@ frontEndConfigFromFlags(const Flags &flags)
     serve::FrontEndConfig cfg;
     cfg.workers = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "workers", "0")));
-    cfg.degrade =
-        serve::parseDegradeMode(flagOr(flags, "degrade", "ladder"));
     cfg.batch_size = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "batch", "16")));
     cfg.queue_capacity = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "queue", "256")));
-    cfg.soft_watermark = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "soft", "64")));
-    cfg.hard_watermark = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "hard", "160")));
+    cfg.watermark = static_cast<std::size_t>(
+        std::stoul(flagOr(flags, "watermark", "64")));
     cfg.service = serviceConfigFromFlags(flags);
     return cfg;
 }
@@ -473,12 +459,12 @@ cmdServe(const Flags &flags)
     const auto st = frontend.cache().stats();
     std::fprintf(stderr,
                  "served %zu requests on %zu worker(s) "
-                 "(model version %llu, degrade %s)\n"
+                 "(model version %llu, watermark %zu)\n"
                  "cache: %llu hits, %llu misses, %llu evictions, "
                  "%llu coalesced (hit rate %.1f%%)\n",
                  consumed, frontend.workers(),
                  (unsigned long long)active.version,
-                 serve::degradeModeName(frontend.config().degrade),
+                 frontend.config().watermark,
                  (unsigned long long)st.hits,
                  (unsigned long long)st.misses,
                  (unsigned long long)st.evictions,
@@ -638,7 +624,7 @@ cmdFleet(const Flags &flags)
         if (!fout)
             fatal("cannot open ", out_path, " for writing");
         fout << report;
-        std::printf("gcm-fleet/v1 report written to %s\n",
+        std::printf("gcm-fleet/v2 report written to %s\n",
                     out_path.c_str());
     }
     std::fprintf(
@@ -706,9 +692,9 @@ usage()
         "                per-priority queue capacity (default 16/256)\n"
         "           [--cache N] [--shards N]      prediction cache\n"
         "                capacity and shard count (default 4096/8)\n"
-        "           [--degrade ladder|shed] [--soft N] [--hard N]\n"
-        "                graceful-degradation ladder and its queue\n"
-        "                watermarks (default ladder, 64/160);\n"
+        "           [--watermark N]  queue depth at which requests\n"
+        "                get the analytical tier instead of the model\n"
+        "                (default 64; set it to --queue to shed only);\n"
         "                degraded responses carry their tier\n"
         "           [--arrival-qps X]  simulated arrival rate\n"
         "                (default: the front end's capacity)\n"
@@ -723,8 +709,7 @@ usage()
         "           [--out FILE]  write the response stream (byte-\n"
         "                identical across runs and thread counts)\n"
         "           [--workers N] [--batch N] [--queue N] [--cache N]\n"
-        "           [--shards N] [--degrade ladder|shed] [--soft N]\n"
-        "           [--hard N]    as for serve\n"
+        "           [--shards N] [--watermark N]  as for serve\n"
         "  search   --model FILE --budget-ms X    latency-constrained\n"
         "           --device NAME | --devices a,b,...  architecture\n"
         "                search over the generator space; emits the\n"
@@ -735,7 +720,7 @@ usage()
         "  fleet    closed loop: streaming campaign -> incremental\n"
         "           retrain -> canaried hot-swap over a synthesized\n"
         "           fleet, on the simulated clock (DESIGN.md §15);\n"
-        "           emits the gcm-fleet/v1 report, byte-identical\n"
+        "           emits the gcm-fleet/v2 report, byte-identical\n"
         "           at any --threads\n"
         "           [--fleet-size N] [--fleet-seed N] [--rounds N]\n"
         "           [--cohort N]     devices measured per round\n"
