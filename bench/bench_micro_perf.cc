@@ -7,9 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -451,9 +448,9 @@ BENCHMARK(BM_ServeCacheHit);
 
 /**
  * Front end at 2x capacity: plan (DES over 256 arrivals) + parallel
- * execute on 2 workers, walking the degradation ladder end to end —
- * the per-request cost of overload handling itself. items/s is
- * arrivals per second.
+ * execute on 2 workers, admitting what fits the queue and shedding
+ * the rest — the per-request cost of overload handling itself.
+ * items/s is arrivals per second.
  */
 static void
 BM_ServeOverload(benchmark::State &state)
@@ -583,126 +580,4 @@ BM_KMeansDevices(benchmark::State &state)
 }
 BENCHMARK(BM_KMeansDevices)->Unit(benchmark::kMillisecond);
 
-namespace
-{
-
-/**
- * Console reporter that additionally records (name, ns/op) for every
- * successful run and dumps the gcm-bench/v1 perf-trajectory artifact:
- *
- *   {
- *     "schema": "gcm-bench/v1",
- *     "suite": "bench_micro_perf",
- *     "git_rev": "<short rev or 'unknown'>",
- *     "threads": <worker count benchmarks start from>,
- *     "benchmarks": [{"name": ..., "ns_per_op": ...}, ...]
- *   }
- *
- * The artifact is committed at the repo root so successive PRs leave
- * a comparable perf trajectory. Output path defaults to
- * BENCH_micro.json in the working directory; override with
- * GCM_BENCH_JSON. Git revision comes from GCM_BENCH_GIT_REV, else
- * `git rev-parse --short HEAD`.
- */
-class TrajectoryReporter : public benchmark::ConsoleReporter
-{
-  public:
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (run.error_occurred || run.iterations == 0)
-                continue;
-            entries_.emplace_back(run.benchmark_name(),
-                                  run.real_accumulated_time
-                                      / static_cast<double>(
-                                          run.iterations)
-                                      * 1e9);
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    bool
-    writeJson(const std::string &path) const
-    {
-        std::ofstream os(path);
-        if (!os)
-            return false;
-        os << "{\n";
-        os << "  \"schema\": \"gcm-bench/v1\",\n";
-        os << "  \"suite\": \"bench_micro_perf\",\n";
-        os << "  \"git_rev\": \"" << escape(gitRev()) << "\",\n";
-        os << "  \"threads\": " << numThreads() << ",\n";
-        os << "  \"benchmarks\": [";
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            os << (i == 0 ? "\n" : ",\n");
-            char ns[64];
-            std::snprintf(ns, sizeof(ns), "%.2f",
-                          entries_[i].second);
-            os << "    {\"name\": \"" << escape(entries_[i].first)
-               << "\", \"ns_per_op\": " << ns << "}";
-        }
-        os << "\n  ]\n}\n";
-        return os.good();
-    }
-
-  private:
-    static std::string
-    escape(const std::string &s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out.push_back('\\');
-            if (static_cast<unsigned char>(c) >= 0x20)
-                out.push_back(c);
-        }
-        return out;
-    }
-
-    static std::string
-    gitRev()
-    {
-        if (const char *rev = std::getenv("GCM_BENCH_GIT_REV"))
-            return rev;
-        std::string rev;
-        if (FILE *p = popen("git rev-parse --short HEAD 2>/dev/null",
-                            "r")) {
-            char buf[64];
-            if (std::fgets(buf, sizeof(buf), p))
-                rev = buf;
-            pclose(p);
-        }
-        while (!rev.empty()
-               && (rev.back() == '\n' || rev.back() == '\r')) {
-            rev.pop_back();
-        }
-        return rev.empty() ? "unknown" : rev;
-    }
-
-    std::vector<std::pair<std::string, double>> entries_;
-};
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    TrajectoryReporter reporter;
-    const std::size_t threads_at_start = numThreads();
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    setThreads(threads_at_start);
-    const char *path = std::getenv("GCM_BENCH_JSON");
-    if (!reporter.writeJson(path ? path : "BENCH_micro.json")) {
-        std::fprintf(stderr,
-                     "bench_micro_perf: failed to write %s\n",
-                     path ? path : "BENCH_micro.json");
-        return 1;
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -491,8 +491,6 @@ FleetController::serveRound(std::size_t round)
     stats.offered = report.offered;
     stats.ok = report.ok;
     stats.errors = report.errors;
-    stats.tier_full = report.tier_full;
-    stats.tier_analytical = report.tier_analytical;
     stats.tier_shed = report.tier_shed;
     stats.sim_duration_ms = report.sim_duration_ms;
     sim_ms_ += report.sim_duration_ms;
@@ -560,8 +558,6 @@ appendServe(std::string &out, const RoundServeStats &s)
     out += "{\"offered\": " + std::to_string(s.offered)
         + ", \"ok\": " + std::to_string(s.ok)
         + ", \"errors\": " + std::to_string(s.errors)
-        + ", \"full\": " + std::to_string(s.tier_full)
-        + ", \"analytical\": " + std::to_string(s.tier_analytical)
         + ", \"shed\": " + std::to_string(s.tier_shed)
         + ", \"sim_ms\": " + formatNumber(s.sim_duration_ms) + "}";
 }
@@ -573,7 +569,7 @@ renderFleetReport(const FleetLoopConfig &config,
                   const FleetResult &result)
 {
     std::string out = "{\n";
-    out += "  \"schema\": \"gcm-fleet/v2\",\n";
+    out += "  \"schema\": \"gcm-fleet/v3\",\n";
     out += "  \"config\": {\n";
     out += "    \"fleet_size\": "
         + std::to_string(config.fleet.fleet_size) + ",\n";

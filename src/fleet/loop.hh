@@ -25,10 +25,10 @@
  * config at any GCM_THREADS: cohorts, fault schedules and traffic
  * are drawn from forked per-round rng streams; campaign, imputation
  * and training keep the PR-2 bit-identity contract; the front end's
- * plan/execute split pins the serving tier mix to the *configured*
+ * plan/execute split pins the serving shed set to the *configured*
  * worker count (TrafficConfig::workers — never the pool size); and
  * the canary evaluation is serial. renderFleetReport() therefore
- * emits byte-identical gcm-fleet/v2 JSON at 1, 2 or 8 threads. The
+ * emits byte-identical gcm-fleet/v3 JSON at 1, 2 or 8 threads. The
  * shared prediction cache's hit/miss counters are the one
  * scheduling-dependent diagnostic (see serve/frontend.hh) and are
  * deliberately excluded from the report.
@@ -119,7 +119,7 @@ struct TrafficConfig
     /**
      * Front-end worker threads. Must be explicit (> 0): the DES plan
      * consumes the worker count, so inheriting the GCM_THREADS pool
-     * size would make the tier mix thread-count-dependent.
+     * size would make the shed set thread-count-dependent.
      */
     std::size_t workers = 2;
     /** Remaining front-end knobs; `workers` above overrides. */
@@ -184,8 +184,6 @@ struct RoundServeStats
     std::size_t offered = 0;
     std::size_t ok = 0;
     std::size_t errors = 0;
-    std::size_t tier_full = 0;
-    std::size_t tier_analytical = 0;
     std::size_t tier_shed = 0;
     double sim_duration_ms = 0.0;
 };
@@ -305,7 +303,7 @@ class FleetController
 };
 
 /**
- * The gcm-fleet/v2 report: config echo, pinned signature, per-round
+ * The gcm-fleet/v3 report: config echo, pinned signature, per-round
  * and per-retrain logs and the summary block. Pure function of its
  * inputs; byte-identical at any thread count (doubles rendered
  * "%.17g", no wall-clock fields, no cache counters).

@@ -29,18 +29,18 @@ FrontEndConfig::validate() const
         fatal("FrontEndConfig: queue_capacity (", queue_capacity,
               ") must be >= batch_size (", batch_size, ")");
     }
-    if (watermark > queue_capacity) {
-        fatal("FrontEndConfig: watermark (", watermark,
-              ") must be <= queue_capacity (", queue_capacity, ")");
-    }
-    if (!(full_cost_ms > 0.0) || !(analytical_cost_ms > 0.0))
-        fatal("FrontEndConfig: per-tier service costs must be > 0");
-    if (!(batch_overhead_ms >= 0.0))
-        fatal("FrontEndConfig: batch_overhead_ms must be >= 0");
 }
 
 namespace
 {
+
+/**
+ * The simulated clock's unit costs (ms): every admitted request costs
+ * kRequestCostMs and every batch kBatchOverheadMs on the plan phase's
+ * clock. They are the plan's units, not measured service times.
+ */
+constexpr double kRequestCostMs = 1.0;
+constexpr double kBatchOverheadMs = 0.2;
 
 /** Nearest-rank percentile of an unsorted sample (copied). */
 double
@@ -73,8 +73,6 @@ FrontEndReport::summary() const
     os << "  goodput " << goodput_qps
        << " req/s, shed-rate " << (100.0 * shed_rate)
        << "%, utilization " << (100.0 * utilization) << "%\n";
-    os << "  tiers: full " << tier_full << " / analytical "
-       << tier_analytical << " / shed " << tier_shed << "\n";
     os << "  queue peaks: interactive " << peak_queue_interactive
        << ", bulk " << peak_queue_bulk << "\n";
     os << "  sim sojourn p50 " << sojourn_p50_ms << " ms, p95 "
@@ -98,16 +96,9 @@ ServerFrontEnd::ServerFrontEnd(const ModelRegistry &registry,
     if (workers_ == 0)
         workers_ = 1;
     services_.reserve(workers_);
-    estimators_.reserve(workers_);
     for (std::size_t w = 0; w < workers_; ++w) {
         services_.push_back(std::make_unique<PredictionService>(
             registry_, device_table, config_.service, cache_));
-    }
-    // The estimators validate device names against worker 0's table
-    // (all copies are identical); the table outlives them.
-    for (std::size_t w = 0; w < workers_; ++w) {
-        estimators_.push_back(std::make_unique<AnalyticalEstimator>(
-            &services_.front()->deviceTable()));
     }
 }
 
@@ -121,9 +112,8 @@ double
 ServerFrontEnd::capacityQps() const
 {
     const double per_request =
-        config_.full_cost_ms
-        + config_.batch_overhead_ms
-              / static_cast<double>(config_.batch_size);
+        kRequestCostMs
+        + kBatchOverheadMs / static_cast<double>(config_.batch_size);
     return static_cast<double>(workers_) * 1000.0 / per_request;
 }
 
@@ -146,15 +136,14 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
 
     // ------------------------------------------------------------------
     // Phase 1 — plan (serial, simulated clock). A discrete-event walk
-    // over the arrival stream decides, deterministically: each
-    // request's tier, which worker serves it in which batch, and all
-    // simulated timings. No payload is computed here.
+    // over the arrival stream decides, deterministically: whether
+    // each request is admitted, which worker serves it in which batch,
+    // and all simulated timings. No payload is computed here.
     // ------------------------------------------------------------------
     struct Item
     {
         ServeRequest request;
         std::string parse_error;
-        ServeTier tier = ServeTier::Full;
         bool shed = false;
         /** Written by exactly one worker in the execute phase. */
         bool ok = false;
@@ -183,10 +172,6 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                         std::greater<Completion>>
         completions;
 
-    const auto tier_cost = [&](ServeTier t) {
-        return t == ServeTier::Full ? config_.full_cost_ms
-                                    : config_.analytical_cost_ms;
-    };
     const auto dispatch = [&](double now) {
         while (idle_count > 0) {
             std::deque<std::size_t> *q = nullptr;
@@ -203,15 +188,14 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
             --idle_count;
             Batch b;
             b.worker = w;
-            double cost = config_.batch_overhead_ms;
+            double cost = kBatchOverheadMs;
             const std::size_t take =
                 std::min(config_.batch_size, q->size());
             b.items.reserve(take);
             for (std::size_t k = 0; k < take; ++k) {
-                const std::size_t idx = q->front();
+                b.items.push_back(q->front());
                 q->pop_front();
-                cost += tier_cost(items[idx].tier);
-                b.items.push_back(idx);
+                cost += kRequestCostMs;
             }
             const double done = now + cost;
             busy_until[w] = done;
@@ -257,22 +241,18 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
         const std::size_t depth = queues[cls].size();
         if (depth >= config_.queue_capacity) {
             item.shed = true;
-            item.tier = ServeTier::Shed;
+            ++report.tier_shed;
             item.done_ms = ta;
             ServeResponse r = ServeResponse::failure(
                 item.request.id, ServeErrorCode::Overloaded,
                 std::string("admission queue full (")
                     + priorityName(item.request.priority) + ")");
-            r.tier = ServeTier::Shed;
             r.queue_depth = depth;
             r.retry_after_ms = static_cast<double>(depth)
-                               * config_.full_cost_ms
+                               * kRequestCostMs
                                / static_cast<double>(workers_);
             rendered[i] = renderResponse(r);
         } else {
-            item.tier = active && depth < config_.watermark
-                            ? ServeTier::Full
-                            : ServeTier::Analytical;
             queues[cls].push_back(i);
             peaks[cls] = std::max(peaks[cls], queues[cls].size());
         }
@@ -285,39 +265,36 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     std::vector<double> sojourns;
     sojourns.reserve(n);
     for (const Item &item : items) {
-        switch (item.tier) {
-          case ServeTier::Full: ++report.tier_full; break;
-          case ServeTier::Analytical:
-            ++report.tier_analytical;
-            break;
-          case ServeTier::Shed: ++report.tier_shed; break;
-        }
         if (!item.shed)
             sojourns.push_back(item.done_ms - item.arrival_ms);
     }
 
     // ------------------------------------------------------------------
     // Phase 2 — execute (parallel, real threads). Workers compute the
-    // pre-decided (request, tier) payloads on the pinned model into
-    // their own pre-assigned response slots; payload content is a pure
+    // admitted requests' payloads on the pinned model into their own
+    // pre-assigned response slots; payload content is a pure
     // function, so bytes match at any worker count.
     // ------------------------------------------------------------------
     std::vector<std::exception_ptr> failures(workers_);
     const auto work = [&](std::size_t w) noexcept {
         try {
             PredictionService &svc = *services_[w];
-            AnalyticalEstimator &est = *estimators_[w];
             std::vector<ServeRequest> reqs;
             std::vector<std::size_t> req_idx;
             for (const Batch &b : worker_batches[w]) {
-                // A batch's full-tier items go to one processBatch.
+                // A batch's well-formed items go to one processBatch.
                 reqs.clear();
                 req_idx.clear();
                 for (const std::size_t idx : b.items) {
                     const Item &item = items[idx];
-                    if (item.tier != ServeTier::Full
-                        || !item.parse_error.empty())
+                    if (!item.parse_error.empty()) {
+                        rendered[idx] = renderResponse(
+                            ServeResponse::failure(
+                                item.request.id,
+                                ServeErrorCode::BadRequest,
+                                item.parse_error));
                         continue;
+                    }
                     reqs.push_back(item.request);
                     req_idx.push_back(idx);
                 }
@@ -327,22 +304,6 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                     for (std::size_t k = 0; k < served.size(); ++k) {
                         items[req_idx[k]].ok = served[k].ok;
                         rendered[req_idx[k]] = renderResponse(served[k]);
-                    }
-                }
-                for (const std::size_t idx : b.items) {
-                    Item &item = items[idx];
-                    if (!item.parse_error.empty()) {
-                        ServeResponse r = ServeResponse::failure(
-                            item.request.id,
-                            ServeErrorCode::BadRequest,
-                            item.parse_error);
-                        r.tier = item.tier;
-                        rendered[idx] = renderResponse(r);
-                    } else if (item.tier == ServeTier::Analytical) {
-                        const ServeResponse r =
-                            est.serve(item.request);
-                        item.ok = r.ok;
-                        rendered[idx] = renderResponse(r);
                     }
                 }
             }
@@ -394,9 +355,6 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     report.cache = cache_->stats();
 
     obs::counterAdd("serve.frontend.offered", n);
-    obs::counterAdd("serve.frontend.tier.full", report.tier_full);
-    obs::counterAdd("serve.frontend.tier.analytical",
-                    report.tier_analytical);
     obs::counterAdd("serve.frontend.tier.shed", report.tier_shed);
     obs::gaugeSet("serve.frontend.workers",
                   static_cast<double>(workers_));

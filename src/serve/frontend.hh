@@ -1,20 +1,18 @@
 /**
  * @file
- * ServerFrontEnd — multi-worker serving with backpressure, priority
- * classes and a graceful-degradation ladder (DESIGN.md §14).
+ * ServerFrontEnd — multi-worker serving with backpressure and priority
+ * classes (DESIGN.md §14).
  *
  * The front end owns N workers pulling micro-batches from two bounded
  * FIFO queues, one per Priority class; interactive traffic always
- * drains before bulk NAS traffic. Admission applies the degradation
- * ladder per request, keyed on the depth of its class queue:
+ * drains before bulk NAS traffic. Admission is a two-rung ladder per
+ * request, keyed on the depth of its class queue:
  *
- *   depth <  watermark        -> Full        (the run's pinned model)
- *   depth >= watermark        -> Analytical  (model-free roofline)
- *   depth >= queue_capacity   -> Shed        (structured overloaded)
+ *   depth <  queue_capacity   -> admitted (the run's pinned model)
+ *   depth >= queue_capacity   -> shed     (structured overloaded)
  *
- * A registry with no active model serves every admitted request at
- * Analytical. With watermark == queue_capacity an admitted request
- * is always below the watermark: binary accept/shed.
+ * A registry with no active model answers every admitted request
+ * with a structured no_model error.
  *
  * Determinism contract (the serving extension of the PR-2 rule).
  * Queueing decisions depend on *time*, which is why naive multi-
@@ -22,23 +20,23 @@
  * into two phases:
  *
  *  1. Plan (serial, simulated clock): a discrete-event simulation
- *     walks arrivals in timestamp order against per-tier service
- *     costs (FrontEndConfig), assigning every request its tier,
- *     worker and batch, and every batch its start/finish time. With
- *     a fixed arrival stream and fixed worker count this phase is a
- *     pure function — tier decisions, shed set, queue peaks and
- *     sojourn percentiles are exactly reproducible.
+ *     walks arrivals in timestamp order against a fixed per-request
+ *     cost, assigning every request its admission, worker and batch,
+ *     and every batch its start/finish time. With a fixed arrival
+ *     stream and fixed worker count this phase is a pure function —
+ *     the shed set, queue peaks and sojourn percentiles are exactly
+ *     reproducible.
  *  2. Execute (parallel, real threads): the planned batches run on
  *     real worker threads (one PredictionService per worker — batch
  *     state is not shareable — over one shared cache), each writing
  *     responses into its own pre-assigned slots. Payload content for
- *     a given (request, tier, pinned version) is a pure function, so
+ *     a given (request, pinned version) is a pure function, so
  *     response bytes are identical at ANY worker count; only the
- *     plan (which consumed the worker count) fixes the tier mix.
+ *     plan (which consumed the worker count) fixes the shed set.
  *
  * The plan reads the registry once: the run pins the active model
- * via shared_ptr, so every model-backed response comes from that one
- * version, a concurrent activate() cannot change the tier mix, and a
+ * via shared_ptr, so every admitted response comes from that one
+ * version, a concurrent activate() cannot change the shed set, and a
  * concurrent rollback()+retire() cannot free the snapshot mid-run.
  *
  * One deliberate exception to the contract: the shared cache's
@@ -57,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/analytical.hh"
 #include "serve/cache.hh"
 #include "serve/registry.hh"
 #include "serve/service.hh"
@@ -83,23 +80,8 @@ struct FrontEndConfig
     std::size_t workers = 0;
     /** Per-priority-class queue capacity; beyond it requests shed. */
     std::size_t queue_capacity = 256;
-    /** Class-queue depth at which Full becomes Analytical. */
-    std::size_t watermark = 64;
     /** Requests per planned micro-batch. */
     std::size_t batch_size = 16;
-
-    /**
-     * Simulated per-request service cost by tier (ms) and per-batch
-     * dispatch overhead, driving the plan-phase clock. Analytical
-     * skips the model, so it is cheaper than Full, but deliberately
-     * NOT free: at these defaults a 2x-capacity stream outruns the
-     * analytical service rate, so the queue climbs past the
-     * watermark and the shed rung is reachable (the tools/check.sh
-     * soak asserts exactly that).
-     */
-    double full_cost_ms = 1.0;
-    double analytical_cost_ms = 0.6;
-    double batch_overhead_ms = 0.2;
 
     ServiceConfig service;
 
@@ -114,8 +96,6 @@ struct FrontEndReport
     std::size_t offered = 0;
     std::size_t ok = 0;
     std::size_t errors = 0; // non-shed error responses
-    std::size_t tier_full = 0;
-    std::size_t tier_analytical = 0;
     std::size_t tier_shed = 0;
     std::size_t peak_queue_interactive = 0;
     std::size_t peak_queue_bulk = 0;
@@ -163,8 +143,8 @@ class ServerFrontEnd
     std::size_t workers() const { return workers_; }
 
     /**
-     * Sustainable full-tier throughput (requests per simulated
-     * second): workers / (full_cost + amortized batch overhead).
+     * Sustainable throughput (requests per simulated second):
+     * workers / (request cost + amortized batch overhead).
      */
     double capacityQps() const;
 
@@ -180,7 +160,6 @@ class ServerFrontEnd
     std::shared_ptr<ShardedLruCache> cache_;
     /** One service per worker (processBatch is not thread-safe). */
     std::vector<std::unique_ptr<PredictionService>> services_;
-    std::vector<std::unique_ptr<AnalyticalEstimator>> estimators_;
 };
 
 /**

@@ -16,9 +16,9 @@
  *    so every key is new and the cold path runs end to end.
  *
  * A bulk_fraction of the stream is tagged `"priority": "bulk"`.
- * Determinism: the whole run is deterministic — arrival times, tier
- * decisions, goodput, shed-rate, per-tier fractions and the response
- * bytes are pure functions of (seed, config, model, worker count).
+ * Determinism: the whole run is deterministic — arrival times, shed
+ * decisions, goodput, shed-rate, queue peaks and the response bytes
+ * are pure functions of (seed, config, model, worker count).
  * The one exception is the shared cache's hit/miss/coalesce
  * counters, which depend on worker scheduling (frontend.hh).
  * Wall-clock serving throughput is measured by perfbench's serve

@@ -1,8 +1,6 @@
 #include "serve/protocol.hh"
 
 #include <istream>
-#include <limits>
-#include <sstream>
 
 #include "util/error.hh"
 #include "util/json.hh"
@@ -82,20 +80,6 @@ parseRequestLine(const std::string &line)
     return request;
 }
 
-namespace
-{
-
-std::string
-formatDouble(double v)
-{
-    std::ostringstream num;
-    num.precision(std::numeric_limits<double>::max_digits10);
-    num << v;
-    return num.str();
-}
-
-} // namespace
-
 std::string
 renderResponse(const ServeResponse &response)
 {
@@ -103,7 +87,7 @@ renderResponse(const ServeResponse &response)
     json::appendJsonString(out, response.id);
     if (response.ok) {
         out += ", \"ok\": true, \"latency_ms\": "
-               + formatDouble(response.latency_ms)
+               + json::formatNumber(response.latency_ms)
                + ", \"model_version\": "
                + std::to_string(response.model_version);
     } else {
@@ -117,17 +101,14 @@ renderResponse(const ServeResponse &response)
             out += ", \"queue_depth\": "
                    + std::to_string(response.queue_depth)
                    + ", \"retry_after_ms\": "
-                   + formatDouble(response.retry_after_ms);
+                   + json::formatNumber(response.retry_after_ms);
         }
         out += "}";
     }
-    // Version gate: the `degraded` field is absent for the full tier,
-    // so clients predating the ladder keep seeing unchanged lines.
-    if (response.tier != ServeTier::Full) {
-        out += ", \"degraded\": {\"tier\": \"";
-        out += serveTierName(response.tier);
-        out += "\"}";
-    }
+    // Version gate: only shed responses carry `degraded`, so clients
+    // predating the ladder keep seeing unchanged model answers.
+    if (!response.ok && response.error_code == ServeErrorCode::Overloaded)
+        out += ", \"degraded\": {\"tier\": \"shed\"}";
     out += "}";
     return out;
 }

@@ -20,16 +20,12 @@
  *   {"id": "r2", "ok": false, "error": {"code": "bad_request",
  *    "message": "..."}}
  *
- * Degradation tags (version-gated: the field is *absent* for tier
- * "full", so pre-ladder clients keep parsing unchanged responses):
- *
- *   {"id": "r3", "ok": true, "latency_ms": 180.5, "model_version": 0,
- *    "degraded": {"tier": "analytical"}}
- *
  * Shed responses carry backpressure context inside the error object —
- * the queue depth observed at rejection and a suggested back-off:
+ * the queue depth observed at rejection and a suggested back-off —
+ * and the one degradation tag (version-gated: every other response
+ * lacks the field, so pre-ladder clients parse them unchanged):
  *
- *   {"id": "r4", "ok": false, "error": {"code": "overloaded",
+ *   {"id": "r3", "ok": false, "error": {"code": "overloaded",
  *    "message": "...", "queue_depth": 256, "retry_after_ms": 12.5},
  *    "degraded": {"tier": "shed"}}
  *

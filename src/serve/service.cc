@@ -29,17 +29,6 @@ priorityName(Priority p)
 }
 
 const char *
-serveTierName(ServeTier tier)
-{
-    switch (tier) {
-      case ServeTier::Full: return "full";
-      case ServeTier::Analytical: return "analytical";
-      case ServeTier::Shed: return "shed";
-    }
-    return "?";
-}
-
-const char *
 serveErrorCodeName(ServeErrorCode code)
 {
     switch (code) {
@@ -54,9 +43,29 @@ serveErrorCodeName(ServeErrorCode code)
     return "?";
 }
 
+namespace
+{
+
+/** Outcome of checkRequest(); error_message empty = valid. */
+struct RequestCheck
+{
+    ServeErrorCode error_code = ServeErrorCode::BadRequest;
+    std::string error_message;
+    /** Its device's table row or its own raw signature vector. */
+    const std::vector<double> *signature = nullptr;
+
+    bool ok() const { return error_message.empty(); }
+};
+
+/**
+ * The request schema, checked before any network lookup: exactly one
+ * network source, exactly one of device and signature, a known device
+ * and finite positive signature values. Checks that need the model
+ * (the network resolving, the signature width) come after.
+ */
 RequestCheck
 checkRequest(const ServeRequest &request,
-             const PredictionService::DeviceTable *device_table)
+             const PredictionService::DeviceTable &device_table)
 {
     const auto fail = [](ServeErrorCode code, std::string msg) {
         return RequestCheck{code, std::move(msg), nullptr};
@@ -75,17 +84,15 @@ checkRequest(const ServeRequest &request,
                     "exactly one of 'device' and 'signature' is required");
     }
     RequestCheck check;
-    check.signature = has_device ? nullptr : &request.signature;
-    if (has_device && device_table != nullptr) {
-        const auto it = device_table->find(request.device);
-        if (it == device_table->end()) {
+    check.signature = &request.signature;
+    if (has_device) {
+        const auto it = device_table.find(request.device);
+        if (it == device_table.end()) {
             return fail(ServeErrorCode::UnknownDevice,
                         "unknown device '" + request.device + "'");
         }
         check.signature = &it->second;
     }
-    if (check.signature == nullptr)
-        return check;
     for (const double v : *check.signature) {
         if (!std::isfinite(v) || v <= 0.0) {
             return fail(ServeErrorCode::BadRequest,
@@ -94,6 +101,8 @@ checkRequest(const ServeRequest &request,
     }
     return check;
 }
+
+} // namespace
 
 PredictionService::PredictionService(
     const ModelRegistry &registry, DeviceTable device_table,
@@ -117,7 +126,7 @@ PredictionService::resolve(const ServeRequest &request,
         r.error_message = std::move(msg);
     };
 
-    RequestCheck check = checkRequest(request, &device_table_);
+    RequestCheck check = checkRequest(request, device_table_);
     if (!check.ok()) {
         failWith(check.error_code, std::move(check.error_message));
         return r;

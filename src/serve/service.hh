@@ -60,19 +60,6 @@ enum class Priority
 
 const char *priorityName(Priority p);
 
-/**
- * Which rung of the degradation ladder produced a response (see
- * frontend.hh, the one serving path).
- */
-enum class ServeTier
-{
-    Full,       // the pinned active model via PredictionService
-    Analytical, // model-free roofline estimate (AnalyticalEstimator)
-    Shed,       // rejected with a structured `overloaded` response
-};
-
-const char *serveTierName(ServeTier tier);
-
 /** One parsed gcm-serve/v1 request (see protocol.hh for the wire). */
 struct ServeRequest
 {
@@ -122,8 +109,6 @@ struct ServeResponse
     ModelRegistry::Version model_version = 0;
     ServeErrorCode error_code = ServeErrorCode::BadRequest;
     std::string error_message;
-    /** Ladder rung that produced this response (wire: `degraded`). */
-    ServeTier tier = ServeTier::Full;
     /** Shed context: queue depth observed at rejection time. */
     std::size_t queue_depth = 0;
     /** Shed context: suggested client back-off (simulated ms). */
@@ -181,7 +166,7 @@ class PredictionService
     /**
      * Serve one batch against an explicitly pinned snapshot. The
      * front end pins the active model once per run and serves every
-     * full-tier batch from it: holding the shared_ptr means a
+     * admitted batch from it: holding the shared_ptr means a
      * concurrent rollback() + retire() cannot free the snapshot under
      * an in-flight batch.
      */
@@ -263,33 +248,6 @@ class PredictionService
     /** Zero head/tail stand-in for rows whose build failed. */
     std::vector<float> fallback_;
 };
-
-/** Outcome of checkRequest(); error_message empty = valid. */
-struct RequestCheck
-{
-    ServeErrorCode error_code = ServeErrorCode::BadRequest;
-    std::string error_message;
-    /**
-     * The request's signature latencies: its device's table row or
-     * its own raw vector. nullptr when it names a device and no table
-     * was given.
-     */
-    const std::vector<double> *signature = nullptr;
-
-    bool ok() const { return error_message.empty(); }
-};
-
-/**
- * The request schema every serving tier checks first, before any
- * network lookup: exactly one network source, exactly one of device
- * and signature, a known device (skipped when `device_table` is
- * null) and finite positive signature values. Checks that need a
- * model (the network resolving, the signature width) stay with the
- * tier that has one.
- */
-RequestCheck
-checkRequest(const ServeRequest &request,
-             const PredictionService::DeviceTable *device_table);
 
 } // namespace gcm::serve
 

@@ -1,11 +1,11 @@
 #include "sim/repository.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "util/csv.hh"
 #include "util/error.hh"
+#include "util/json.hh"
 
 namespace gcm::sim
 {
@@ -125,15 +125,6 @@ MeasurementRepository::missingCells(
 namespace
 {
 
-/** Shortest decimal form that parses back to the same double. */
-std::string
-exactDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 double
 parseLatencyField(const std::string &field, const char *column,
                   std::size_t row)
@@ -174,8 +165,8 @@ MeasurementRepository::toCsv() const
                   "stddev_ms", "runs"};
     for (const auto &r : records_) {
         doc.rows.push_back({std::to_string(r.device_id), r.device_name,
-                            r.network, exactDouble(r.mean_ms),
-                            exactDouble(r.stddev_ms),
+                            r.network, json::formatNumber(r.mean_ms),
+                            json::formatNumber(r.stddev_ms),
                             std::to_string(r.runs)});
     }
     return gcm::toCsv(doc);

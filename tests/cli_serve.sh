@@ -6,10 +6,10 @@
 # Trains a model with GCM, serves FIXTURE (mixed valid and malformed
 # gcm-serve/v1 lines, no bulk lines) at 1 and 4 workers and checks the
 # two outputs are byte-identical with one response line per request.
-# Then replays an overloaded `gcm loadgen` run that reaches every
-# ladder rung and compares its response stream with LADDER_GOLDEN,
-# checks that flags the commands do not read (the removed --qps,
-# --soft, --hard and --degrade) make them exit non-zero, and that a
+# Then replays an overloaded `gcm loadgen` run that both answers and
+# sheds and compares its response stream with LADDER_GOLDEN, checks
+# that flags the commands do not read (the removed --qps, --soft,
+# --hard, --degrade and --watermark) make them exit non-zero, and that a
 # model file with a cyclic tree is refused with an error, not a crash.
 set -eu
 
@@ -41,15 +41,16 @@ torn=$(grep -c -v '^{"id": .*}$' "$work/serve_w1.jsonl" || true)
 grep -q '"ok": true' "$work/serve_w1.jsonl" || fail "no ok response"
 grep -q '"ok": false' "$work/serve_w1.jsonl" || fail "no error response"
 
-# 300 requests at 2x capacity: 193 full, 100 analytical, 7 shed.
+# 300 requests at 2x capacity: 293 ok, 7 shed.
 "$gcm" loadgen --model "$work/m.txt" --requests 300 --queue 64 \
-    --watermark 32 --bulk-fraction 0.25 --workers 4 \
+    --bulk-fraction 0.25 --workers 4 \
     --out "$work/ladder.jsonl" > /dev/null \
-    || fail "gcm loadgen --watermark 32 failed"
+    || fail "gcm loadgen --queue 64 failed"
 cmp "$work/ladder.jsonl" "$ladder_golden" \
     || fail "loadgen ladder responses differ from $ladder_golden"
 
-for flag in "--qps 5000" "--soft 32" "--hard 48" "--degrade shed"; do
+for flag in "--qps 5000" "--soft 32" "--hard 48" "--degrade shed" \
+    "--watermark 32"; do
     # shellcheck disable=SC2086 # the flag and its value split on purpose
     if "$gcm" loadgen --model "$work/m.txt" --requests 10 $flag \
         > /dev/null 2>&1; then

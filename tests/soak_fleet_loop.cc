@@ -17,7 +17,7 @@
  *   - the rolled-back version is retired (unresolvable, unlisted)
  *   - the final active version is the last clean candidate
  *   - per-round serving accounting is exact (ok+errors+shed==offered)
- *   - the gcm-fleet/v2 report is byte-identical across two runs
+ *   - the gcm-fleet/v3 report is byte-identical across two runs
  *
  * Plain main (no gtest): exits 0 on success, 1 with a diagnostic on
  * the first violated invariant.

@@ -3,7 +3,7 @@
  * Fleet closed-loop tests (DESIGN.md §15): synthesizer determinism,
  * config validation, the canary gate's publish/rollback decisions,
  * pinned-signature stability across retrains, and byte-identical
- * gcm-fleet/v2 reports at 1/2/8 threads while the front end serves
+ * gcm-fleet/v3 reports at 1/2/8 threads while the front end serves
  * live traffic.
  */
 
@@ -259,7 +259,7 @@ TEST(FleetLoop, ReportByteIdenticalAt128Threads)
     // Live serving happened inside the compared reports.
     EXPECT_NE(reports[0].find("\"serve\": {\"offered\": 24"),
               std::string::npos);
-    EXPECT_NE(reports[0].find("\"schema\": \"gcm-fleet/v2\""),
+    EXPECT_NE(reports[0].find("\"schema\": \"gcm-fleet/v3\""),
               std::string::npos);
 }
 

@@ -25,7 +25,6 @@
 #include "obs/obs.hh"
 #include "ml/random_forest.hh"
 #include "search/genome_ops.hh"
-#include "serve/analytical.hh"
 #include "serve/cache.hh"
 #include "serve/frontend.hh"
 #include "serve/loadgen.hh"
@@ -742,9 +741,9 @@ TEST(Protocol, BoundedReaderDiscardsPastTheCap)
 
 TEST(Protocol, TiersShareOneRequestValidator)
 {
-    // Every malformed request gets the same error code from the full
-    // tier and the analytical tier: both run checkRequest() before
-    // any network lookup, so request shape wins over an unknown name.
+    // Every malformed request gets its error code from the one request
+    // check, which runs before any network lookup, so request shape
+    // wins over an unknown name.
     using Code = serve::ServeErrorCode;
     const std::string dev = "\"device\": \"" + firstDeviceName() + "\"";
     const std::pair<std::string, Code> cases[] = {
@@ -765,15 +764,11 @@ TEST(Protocol, TiersShareOneRequestValidator)
     };
     const auto table = testDeviceTable();
     serve::PredictionService service(testRegistry(), table, {});
-    serve::AnalyticalEstimator analytical(&table);
     for (const auto &[line, code] : cases) {
         const serve::ServeRequest request = serve::parseRequestLine(line);
         const serve::ServeResponse full = service.processBatch({request})[0];
-        const serve::ServeResponse degraded = analytical.serve(request);
-        EXPECT_FALSE(full.ok || degraded.ok) << line;
+        EXPECT_FALSE(full.ok) << line;
         EXPECT_EQ(full.error_code, code) << line << ": " << full.error_message;
-        EXPECT_EQ(degraded.error_code, code)
-            << line << ": " << degraded.error_message;
     }
 }
 
@@ -784,7 +779,7 @@ namespace
 
 /**
  * Run the generator through a 1-worker front end at half its
- * capacity, so every request is served at the full tier.
+ * capacity, so every request is admitted.
  */
 std::pair<serve::FrontEndReport, std::string>
 runUnderCapacity(serve::LoadGenConfig cfg)
@@ -815,7 +810,7 @@ TEST(Loadgen, DuplicateHeavyIsDeterministicAndCacheBound)
     EXPECT_FALSE(s1.empty());
     EXPECT_EQ(r1.ok, cfg.requests);
     EXPECT_EQ(r1.errors, 0u);
-    EXPECT_EQ(r1.tier_full, cfg.requests);
+    EXPECT_EQ(r1.tier_shed, 0u);
     // The duplicate-heavy steady state is nearly all cache hits.
     EXPECT_GT(r8.cache.hitRate(), 0.9);
 }
@@ -890,8 +885,7 @@ deterministicDigest(const serve::FrontEndReport &r)
 {
     std::ostringstream oss;
     oss << r.workers << '|' << r.offered << '|' << r.ok << '|'
-        << r.errors << '|' << r.tier_full << '|'
-        << r.tier_analytical << '|' << r.tier_shed << '|'
+        << r.errors << '|' << r.tier_shed << '|'
         << r.peak_queue_interactive << '|' << r.peak_queue_bulk << '|'
         << r.sim_duration_ms << '|' << r.goodput_qps << '|'
         << r.shed_rate << '|' << r.utilization << '|'
@@ -900,17 +894,12 @@ deterministicDigest(const serve::FrontEndReport &r)
     return oss.str();
 }
 
-/** Producing tier of a rendered response ("full" when untagged). */
-std::string
-tierOf(const std::string &line)
+/** Whether a rendered response is a shed line (the one tagged kind). */
+bool
+isShed(const std::string &line)
 {
-    for (const char *t : {"analytical", "shed"}) {
-        const std::string tag =
-            std::string("\"degraded\": {\"tier\": \"") + t + "\"}";
-        if (line.find(tag) != std::string::npos)
-            return t;
-    }
-    return "full";
+    return line.find("\"degraded\": {\"tier\": \"shed\"}")
+           != std::string::npos;
 }
 
 } // namespace
@@ -936,9 +925,9 @@ TEST(FrontEnd, RunIsReproducible)
 
 TEST(FrontEnd, PerTierPayloadsAreWorkerCountInvariant)
 {
-    // The tier MIX legitimately depends on the worker count (the plan
-    // phase consumes it), but whenever two runs serve the same request
-    // at the same tier the response bytes must match exactly.
+    // The shed SET legitimately depends on the worker count (the plan
+    // phase consumes it), but whenever two runs both admit the same
+    // request the response bytes must match exactly.
     serve::LoadGenConfig gen;
     gen.requests = 400;
     gen.seed = 23;
@@ -969,7 +958,7 @@ TEST(FrontEnd, PerTierPayloadsAreWorkerCountInvariant)
     for (std::size_t i = 0; i < gen.requests; ++i) {
         for (std::size_t a = 0; a + 1 < runs.size(); ++a) {
             for (std::size_t b = a + 1; b < runs.size(); ++b) {
-                if (tierOf(runs[a][i]) != tierOf(runs[b][i]))
+                if (isShed(runs[a][i]) || isShed(runs[b][i]))
                     continue;
                 EXPECT_EQ(runs[a][i], runs[b][i]) << "request " << i;
                 ++compared;
@@ -989,36 +978,67 @@ TEST(FrontEnd, OverloadLadderAccountsExactly)
     const auto arrivals = overloadArrivals(fe, 3000, 5, 2.0);
     const auto report = fe.run(arrivals, &responses);
 
-    // The hard acceptance identity: every offered request is
-    // accounted to exactly one tier.
+    // The hard acceptance identity: every offered request is either
+    // served or shed, never both.
     EXPECT_EQ(report.offered, arrivals.size());
-    EXPECT_EQ(report.tier_full + report.tier_analytical
-                  + report.tier_shed,
-              report.offered);
-    EXPECT_EQ(report.served(), report.offered - report.tier_shed);
+    EXPECT_EQ(report.served() + report.tier_shed, report.offered);
 
-    // 2x overload walks the whole ladder and ends up shedding...
-    EXPECT_GT(report.tier_full, 0u);
-    EXPECT_GT(report.tier_analytical, 0u);
+    // 2x overload fills the queue and ends up shedding...
+    EXPECT_GT(report.served(), 0u);
     EXPECT_GT(report.tier_shed, 0u);
     EXPECT_GT(report.shed_rate, 0.0);
-    // ...while degradation keeps goodput at >= 80% of capacity.
+    // ...while admission control keeps goodput at >= 80% of capacity.
     EXPECT_GE(report.goodput_qps, 0.8 * fe.capacityQps());
 
     // The rendered stream agrees with the report, line by line, and
-    // every model-backed response comes from the active version.
-    std::map<std::string, std::size_t> tiers;
+    // every admitted response comes from the active version.
+    std::size_t sheds = 0;
     for (const auto &line : responses) {
-        ++tiers[tierOf(line)];
-        if (tierOf(line) == "full") {
-            EXPECT_NE(line.find("\"model_version\": 2}"),
+        if (isShed(line)) {
+            ++sheds;
+            continue;
+        }
+        EXPECT_NE(line.find("\"model_version\": 2}"), std::string::npos)
+            << line;
+    }
+    EXPECT_EQ(sheds, report.tier_shed);
+}
+
+TEST(FrontEnd, EmptyRegistryAnswersNoModel)
+{
+    // With no active model there is nothing to answer from: every
+    // admitted well-formed line is a structured no_model error, and
+    // overflow still sheds with its backpressure context.
+    serve::FrontEndConfig cfg;
+    cfg.workers = 2;
+    // The generator needs a model's signature width, so the stream
+    // comes from a same-shape front end over a populated registry.
+    const auto arrivals = overloadArrivals(
+        serve::ServerFrontEnd(twoVersionRegistry(), testDeviceTable(), cfg),
+        1500, 9, 2.0, 0.25);
+    const serve::ModelRegistry empty;
+    serve::ServerFrontEnd fe(empty, testDeviceTable(), cfg);
+    std::vector<std::string> responses;
+    const auto report = fe.run(arrivals, &responses);
+
+    ASSERT_EQ(responses.size(), arrivals.size());
+    EXPECT_EQ(report.ok, 0u);
+    EXPECT_EQ(report.errors, report.served());
+    EXPECT_GT(report.served(), 0u);
+    EXPECT_GT(report.tier_shed, 0u);
+    std::size_t sheds = 0;
+    for (const auto &line : responses) {
+        if (isShed(line)) {
+            ++sheds;
+            EXPECT_NE(line.find("\"queue_depth\": "), std::string::npos)
+                << line;
+        } else {
+            EXPECT_NE(line.find("\"code\": \"no_model\""),
                       std::string::npos)
                 << line;
         }
     }
-    EXPECT_EQ(tiers["full"], report.tier_full);
-    EXPECT_EQ(tiers["analytical"], report.tier_analytical);
-    EXPECT_EQ(tiers["shed"], report.tier_shed);
+    EXPECT_EQ(sheds, report.tier_shed);
 }
 
 TEST(FrontEnd, ShedResponsesCarryBackpressureContext)
@@ -1027,7 +1047,6 @@ TEST(FrontEnd, ShedResponsesCarryBackpressureContext)
     cfg.workers = 1;
     cfg.batch_size = 4;
     cfg.queue_capacity = 8;
-    cfg.watermark = 4;
     serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
                              cfg);
     // A same-instant burst twice the queue capacity: the tail sheds.
@@ -1048,7 +1067,7 @@ TEST(FrontEnd, ShedResponsesCarryBackpressureContext)
     std::size_t sheds = 0;
     for (std::size_t i = 0; i < responses.size(); ++i) {
         const std::string &line = responses[i];
-        if (tierOf(line) != "shed")
+        if (!isShed(line))
             continue;
         ++sheds;
         // Shed lines still echo their request's id, in position.
@@ -1068,8 +1087,8 @@ TEST(FrontEnd, ShedResponsesCarryBackpressureContext)
 
 TEST(FrontEnd, DegradedTagIsVersionGated)
 {
-    // Full-tier responses must NOT carry the `degraded` field at all
-    // (old clients parse them unchanged); every degraded tier must.
+    // Only shed lines carry the `degraded` field; every other response
+    // lacks it entirely, so old clients parse them unchanged.
     serve::FrontEndConfig cfg;
     cfg.workers = 2;
     serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
@@ -1077,13 +1096,21 @@ TEST(FrontEnd, DegradedTagIsVersionGated)
     std::vector<std::string> responses;
     const auto arrivals = overloadArrivals(fe, 1500, 31, 2.0);
     const auto report = fe.run(arrivals, &responses);
-    ASSERT_GT(report.tier_full, 0u);
-    ASSERT_GT(report.tier_analytical, 0u);
+    ASSERT_GT(report.served(), 0u);
+    ASSERT_GT(report.tier_shed, 0u);
     for (const auto &line : responses) {
         const bool tagged =
             line.find("\"degraded\"") != std::string::npos;
-        EXPECT_EQ(tagged, tierOf(line) != "full") << line;
+        const bool overloaded =
+            line.find("\"code\": \"overloaded\"") != std::string::npos;
+        EXPECT_EQ(tagged, overloaded) << line;
     }
+    // Other errors stay untagged too.
+    const std::string no_model = serve::renderResponse(
+        serve::ServeResponse::failure("x", serve::ServeErrorCode::NoModel,
+                                      "no active model"));
+    EXPECT_EQ(no_model.find("\"degraded\""), std::string::npos)
+        << no_model;
 }
 
 TEST(FrontEnd, InteractiveDrainsBeforeBulk)
@@ -1094,9 +1121,9 @@ TEST(FrontEnd, InteractiveDrainsBeforeBulk)
     serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
                              cfg);
     // 100 bulk requests land first, then 8 interactive ones in the
-    // same instant. Per-class queues mean the interactive class sits
-    // below the watermark (Full) while bulk is past it (Analytical),
-    // and interactive-first dispatch keeps its peak depth small.
+    // same instant. Per-class queues and interactive-first dispatch
+    // keep the interactive peak depth small, and every request is
+    // answered by the model.
     std::vector<serve::Arrival> arrivals;
     for (int i = 0; i < 100; ++i)
         arrivals.push_back(
@@ -1115,56 +1142,36 @@ TEST(FrontEnd, InteractiveDrainsBeforeBulk)
     std::vector<std::string> responses;
     const auto report = fe.run(arrivals, &responses);
     EXPECT_EQ(report.served(), arrivals.size());
+    EXPECT_EQ(report.ok, arrivals.size());
     EXPECT_GT(report.peak_queue_bulk, report.peak_queue_interactive);
     for (std::size_t i = 0; i < responses.size(); ++i) {
         const bool interactive = arrivals[i].line.find("\"inter")
                                  != std::string::npos;
         if (interactive) {
-            EXPECT_EQ(tierOf(responses[i]), "full") << responses[i];
+            EXPECT_NE(responses[i].find("\"ok\": true"),
+                      std::string::npos)
+                << responses[i];
         }
     }
-    EXPECT_GT(report.tier_analytical, 0u); // deep bulk queue degraded
-}
-
-TEST(FrontEnd, ShedOnlyModeSkipsTheMiddleRungs)
-{
-    // A watermark at the queue capacity is binary accept/shed: an
-    // admitted request never sits that deep, so it is always Full.
-    serve::FrontEndConfig cfg;
-    cfg.workers = 2;
-    cfg.watermark = cfg.queue_capacity;
-    serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
-                             cfg);
-    const auto arrivals = overloadArrivals(fe, 2000, 5, 2.0);
-    const auto report = fe.run(arrivals, nullptr);
-    EXPECT_EQ(report.tier_analytical, 0u);
-    EXPECT_GT(report.tier_shed, 0u);
-    EXPECT_EQ(report.tier_full + report.tier_shed, report.offered);
 }
 
 TEST(FrontEnd, ConfigValidation)
 {
     serve::FrontEndConfig bad;
-    bad.watermark = bad.queue_capacity + 1;
-    EXPECT_THROW(bad.validate(), GcmError);
-    bad = {};
     bad.queue_capacity = 4;
     bad.batch_size = 8; // capacity < one batch
     EXPECT_THROW(bad.validate(), GcmError);
     bad = {};
-    bad.analytical_cost_ms = 0.0;
+    bad.batch_size = 0;
     EXPECT_THROW(bad.validate(), GcmError);
-
-    serve::FrontEndConfig shed_only;
-    shed_only.watermark = shed_only.queue_capacity;
-    EXPECT_NO_THROW(shed_only.validate());
+    EXPECT_NO_THROW(serve::FrontEndConfig{}.validate());
 }
 
 TEST(FrontEnd, PlanIgnoresConcurrentSwaps)
 {
     // The plan reads the registry once, when it pins the active
     // model, so an operator flipping activate() mid-run cannot change
-    // the tier mix. The loop is bounded by runs; the operator flips
+    // the shed set. The loop is bounded by runs; the operator flips
     // until the runs are done, however fast it is.
     serve::ModelRegistry registry;
     std::stringstream s1, s2;
@@ -1205,7 +1212,7 @@ TEST(FrontEnd, PlanIgnoresConcurrentSwaps)
         std::set<std::string> versions;
         for (const auto &line : responses) {
             const auto at = line.find("\"model_version\": ");
-            if (tierOf(line) == "full" && at != std::string::npos)
+            if (at != std::string::npos)
                 versions.insert(line.substr(at, line.find('}', at) - at));
         }
         EXPECT_EQ(versions.size(), 1u) << "run " << run;
@@ -1353,8 +1360,7 @@ TEST(FrontEnd, LoopHandlesHostileInputAtAnyWorkerCount)
 TEST(FrontEnd, WindowedLoopMatchesDirectServing)
 {
     // A stream longer than one window, all interactive, at the
-    // default arrival rate: every request is served at the full tier,
-    // so the loop must print exactly what processBatch +
+    // default arrival rate: every request is admitted, so the loop must print exactly what processBatch +
     // renderResponse print for the same lines, at any worker count.
     serve::LoadGenConfig gen;
     gen.requests = serve::kServeWindowLines + 700;
@@ -1404,28 +1410,6 @@ TEST(FrontEnd, WindowedLoopMatchesDirectServing)
         EXPECT_EQ(serve::runFrontEndLoop(fe, in, out), lines.size());
         EXPECT_EQ(out.str(), expected) << "workers=" << workers;
     }
-}
-
-TEST(Analytical, EstimatorIsPureAndValidates)
-{
-    const auto table = testDeviceTable();
-    serve::AnalyticalEstimator est(&table);
-
-    const dnn::Graph g =
-        dnn::quantize(dnn::buildZooModel("mobilenet_v2_1.0"));
-    const double ms = est.estimateMs(g);
-    EXPECT_TRUE(std::isfinite(ms));
-    EXPECT_GT(ms, 0.0);
-    EXPECT_EQ(est.estimateMs(g), ms); // pure
-
-    const auto request =
-        networkRequest("a", "mobilenet_v2_1.0", firstDeviceName());
-    const auto r1 = est.serve(request);
-    const auto r2 = est.serve(request);
-    ASSERT_TRUE(r1.ok) << r1.error_message;
-    EXPECT_EQ(r1.latency_ms, r2.latency_ms);
-    EXPECT_EQ(r1.tier, serve::ServeTier::Analytical);
-    EXPECT_EQ(r1.model_version, 0u);
 }
 
 TEST(FrontEnd, OpenLoadGenIsDeterministic)

@@ -417,8 +417,6 @@ frontEndConfigFromFlags(const Flags &flags)
         std::stoul(flagOr(flags, "batch", "16")));
     cfg.queue_capacity = static_cast<std::size_t>(
         std::stoul(flagOr(flags, "queue", "256")));
-    cfg.watermark = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "watermark", "64")));
     cfg.service = serviceConfigFromFlags(flags);
     return cfg;
 }
@@ -459,12 +457,11 @@ cmdServe(const Flags &flags)
     const auto st = frontend.cache().stats();
     std::fprintf(stderr,
                  "served %zu requests on %zu worker(s) "
-                 "(model version %llu, watermark %zu)\n"
+                 "(model version %llu)\n"
                  "cache: %llu hits, %llu misses, %llu evictions, "
                  "%llu coalesced (hit rate %.1f%%)\n",
                  consumed, frontend.workers(),
                  (unsigned long long)active.version,
-                 frontend.config().watermark,
                  (unsigned long long)st.hits,
                  (unsigned long long)st.misses,
                  (unsigned long long)st.evictions,
@@ -624,7 +621,7 @@ cmdFleet(const Flags &flags)
         if (!fout)
             fatal("cannot open ", out_path, " for writing");
         fout << report;
-        std::printf("gcm-fleet/v2 report written to %s\n",
+        std::printf("gcm-fleet/v3 report written to %s\n",
                     out_path.c_str());
     }
     std::fprintf(
@@ -689,19 +686,17 @@ usage()
         "           [--in FILE] [--out FILE]      file mode\n"
         "           [--workers N]  worker threads (default: --threads)\n"
         "           [--batch N] [--queue N]       micro-batch size and\n"
-        "                per-priority queue capacity (default 16/256)\n"
+        "                per-priority queue capacity (default 16/256);\n"
+        "                past it, requests shed with a structured\n"
+        "                overloaded error\n"
         "           [--cache N] [--shards N]      prediction cache\n"
         "                capacity and shard count (default 4096/8)\n"
-        "           [--watermark N]  queue depth at which requests\n"
-        "                get the analytical tier instead of the model\n"
-        "                (default 64; set it to --queue to shed only);\n"
-        "                degraded responses carry their tier\n"
         "           [--arrival-qps X]  simulated arrival rate\n"
         "                (default: the front end's capacity)\n"
         "  loadgen  --model FILE                  seeded open-loop\n"
         "           Poisson load on the simulated clock against the\n"
         "           serve front end; reports goodput, shed-rate and\n"
-        "           per-tier fractions\n"
+        "           queue peaks\n"
         "           [--requests N] [--seed N] [--mix duplicate|unique]\n"
         "           [--pool N] [--bulk-fraction X]\n"
         "           [--offered-qps X]  offered load (default 2x\n"
@@ -709,7 +704,7 @@ usage()
         "           [--out FILE]  write the response stream (byte-\n"
         "                identical across runs and thread counts)\n"
         "           [--workers N] [--batch N] [--queue N] [--cache N]\n"
-        "           [--shards N] [--watermark N]  as for serve\n"
+        "           [--shards N]  as for serve\n"
         "  search   --model FILE --budget-ms X    latency-constrained\n"
         "           --device NAME | --devices a,b,...  architecture\n"
         "                search over the generator space; emits the\n"
@@ -720,7 +715,7 @@ usage()
         "  fleet    closed loop: streaming campaign -> incremental\n"
         "           retrain -> canaried hot-swap over a synthesized\n"
         "           fleet, on the simulated clock (DESIGN.md §15);\n"
-        "           emits the gcm-fleet/v2 report, byte-identical\n"
+        "           emits the gcm-fleet/v3 report, byte-identical\n"
         "           at any --threads\n"
         "           [--fleet-size N] [--fleet-seed N] [--rounds N]\n"
         "           [--cohort N]     devices measured per round\n"
