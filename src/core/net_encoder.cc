@@ -21,25 +21,25 @@ const char *const kParamNames[kParamSlots] = {
     "stride", "padding", "grouped", "fused_act",
 };
 
+} // namespace
+
 std::size_t
-countEncodableNodes(const dnn::Graph &g)
+NetworkEncoder::depth(const dnn::Graph &graph)
 {
     std::size_t n = 0;
-    for (const auto &node : g.nodes()) {
+    for (const auto &node : graph.nodes()) {
         if (node.kind != dnn::OpKind::Input)
             ++n;
     }
     return n;
 }
 
-} // namespace
-
 NetworkEncoder::NetworkEncoder(const std::vector<dnn::Graph> &suite)
 {
     GCM_ASSERT(!suite.empty(), "NetworkEncoder: empty suite");
     std::size_t deepest = 0;
     for (const auto &g : suite)
-        deepest = std::max(deepest, countEncodableNodes(g));
+        deepest = std::max(deepest, depth(g));
     maxLayers_ = deepest;
 }
 
@@ -72,9 +72,9 @@ NetworkEncoder::encode(const dnn::Graph &graph) const
 void
 NetworkEncoder::encodeInto(const dnn::Graph &graph, float *out) const
 {
-    const std::size_t depth = countEncodableNodes(graph);
-    if (depth > maxLayers_) {
-        fatal("NetworkEncoder: network '", graph.name(), "' has ", depth,
+    const std::size_t layers = depth(graph);
+    if (layers > maxLayers_) {
+        fatal("NetworkEncoder: network '", graph.name(), "' has ", layers,
               " layers but the fitted layout allows ", maxLayers_);
     }
     std::fill(out, out + numFeatures(), 0.0f);

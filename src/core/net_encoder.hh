@@ -35,6 +35,10 @@ class NetworkEncoder
     explicit NetworkEncoder(std::size_t max_layers);
 
     std::size_t maxLayers() const { return maxLayers_; }
+
+    /** Layers `graph` takes in the layout: every node but Input. */
+    static std::size_t depth(const dnn::Graph &graph);
+
     std::size_t featuresPerLayer() const;
     std::size_t numFeatures() const;
 

@@ -13,7 +13,13 @@
  *   ...
  *
  * The format round-trips exactly (shapes are stored, then re-checked
- * against the stored structure on load via Graph::validate()).
+ * against the stored structure on load by the full graph verifier).
+ *
+ * Loading is untrusted-input parsing: graphFromText() makes one pass
+ * over the text with std::from_chars and no per-line streams, caps the
+ * node count, checks ids, inputs, operators and the activation range
+ * as it goes, and then runs verify::verifyGraphOrThrow. Every
+ * malformed text raises GcmError.
  */
 
 #ifndef GCM_DNN_SERIALIZE_HH
@@ -21,6 +27,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dnn/graph.hh"
 
@@ -34,10 +41,10 @@ void serializeGraph(const Graph &graph, std::ostream &os);
 std::string graphToText(const Graph &graph);
 
 /** Parse a graph written by serializeGraph(). Throws GcmError. */
-Graph deserializeGraph(std::istream &is);
+Graph graphFromText(std::string_view text);
 
-/** Convenience: parse from a string. */
-Graph graphFromText(const std::string &text);
+/** Read the rest of `is` and parse it with graphFromText(). */
+Graph deserializeGraph(std::istream &is);
 
 } // namespace gcm::dnn
 

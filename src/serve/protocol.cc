@@ -1,6 +1,7 @@
 #include "serve/protocol.hh"
 
 #include <istream>
+#include <utility>
 
 #include "util/error.hh"
 #include "util/json.hh"
@@ -24,22 +25,24 @@ tryParseRequest(const std::string &line, ServeRequest &out)
     if (doc.has("id") && doc.at("id").isString())
         out.id = doc.at("id").str;
 
-    for (const auto &[key, value] : doc.object) {
+    // The document is ours: strings move into the request, so an
+    // inline graph's text is copied once, by the JSON parser.
+    for (auto &[key, value] : doc.object) {
         if (key == "id") {
             if (!value.isString())
                 return "field 'id' must be a string";
         } else if (key == "network") {
             if (!value.isString() || value.str.empty())
                 return "field 'network' must be a non-empty string";
-            out.network = value.str;
+            out.network = std::move(value.str);
         } else if (key == "graph") {
             if (!value.isString() || value.str.empty())
                 return "field 'graph' must be a non-empty string";
-            out.graph_text = value.str;
+            out.graph_text = std::move(value.str);
         } else if (key == "device") {
             if (!value.isString() || value.str.empty())
                 return "field 'device' must be a non-empty string";
-            out.device = value.str;
+            out.device = std::move(value.str);
         } else if (key == "priority") {
             if (!value.isString())
                 return "field 'priority' must be \"interactive\" or "

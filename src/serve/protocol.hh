@@ -20,6 +20,10 @@
  *   {"id": "r2", "ok": false, "error": {"code": "bad_request",
  *    "message": "..."}}
  *
+ * Error codes (ServeErrorCode): bad_request, unknown_network,
+ * unsupported_network (more layers than the model's layout),
+ * unknown_device, bad_graph, no_model, overloaded, internal.
+ *
  * Shed responses carry backpressure context inside the error object —
  * the queue depth observed at rejection and a suggested back-off —
  * and the one degradation tag (version-gated: every other response

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/net_encoder.hh"
 #include "dnn/fingerprint.hh"
 #include "dnn/quantize.hh"
 #include "dnn/serialize.hh"
@@ -34,6 +35,8 @@ serveErrorCodeName(ServeErrorCode code)
     switch (code) {
       case ServeErrorCode::BadRequest: return "bad_request";
       case ServeErrorCode::UnknownNetwork: return "unknown_network";
+      case ServeErrorCode::UnsupportedNetwork:
+        return "unsupported_network";
       case ServeErrorCode::UnknownDevice: return "unknown_device";
       case ServeErrorCode::BadGraph: return "bad_graph";
       case ServeErrorCode::NoModel: return "no_model";
@@ -118,7 +121,8 @@ PredictionService::PredictionService(
 PredictionService::Resolved
 PredictionService::resolve(const ServeRequest &request,
                            const core::SignatureCostModel &model,
-                           ModelRegistry::Version version)
+                           ModelRegistry::Version version,
+                           InlineGraphs &inline_graphs)
 {
     Resolved r;
     const auto failWith = [&r](ServeErrorCode code, std::string msg) {
@@ -135,6 +139,8 @@ PredictionService::resolve(const ServeRequest &request,
     // --- network -> deployment graph + structural fingerprint.
     const bool has_network = !request.network.empty();
     const bool has_ptr = request.graph_ptr != nullptr;
+    NetworkMemo *memo = nullptr;
+    std::size_t depth = 0;
     if (has_ptr) {
         // In-process caller handing us an already-built graph; no
         // parsing, no memo (the stream is typically all-unique).
@@ -152,54 +158,58 @@ PredictionService::resolve(const ServeRequest &request,
             r.graph = r.owned_graph.get();
         }
         r.key.graph_fp = dnn::graphFingerprint(*r.graph);
+        depth = core::NetworkEncoder::depth(*r.graph);
     } else if (has_network) {
         auto it = graph_memo_.find(request.network);
         if (it == graph_memo_.end()) {
-            NetworkMemo memo;
+            NetworkMemo built;
             try {
-                memo.graph =
+                built.graph =
                     dnn::quantize(dnn::buildZooModel(request.network));
             } catch (const GcmError &) {
                 failWith(ServeErrorCode::UnknownNetwork,
                          "unknown network '" + request.network + "'");
                 return r;
             }
-            memo.fp = dnn::graphFingerprint(memo.graph);
+            built.fp = dnn::graphFingerprint(built.graph);
+            built.depth = core::NetworkEncoder::depth(built.graph);
             it = graph_memo_
-                     .emplace(request.network, std::move(memo))
+                     .emplace(request.network, std::move(built))
                      .first;
         }
-        NetworkMemo &memo = it->second;
-        // Encode once per (network, model version); the batch pins
-        // one version, so within a batch this hits after the first
-        // request for the network.
-        if (memo.enc_version != version) {
-            try {
-                memo.enc = model.encodeNetwork(memo.graph);
-            } catch (const GcmError &e) {
-                failWith(ServeErrorCode::Internal,
-                         std::string("prediction failed: ")
-                             + e.what());
-                return r;
-            }
-            memo.enc_version = version;
-        }
-        r.graph = &memo.graph;
-        r.net_features = &memo.enc;
-        r.key.graph_fp = memo.fp;
+        memo = &it->second;
+        r.graph = &memo->graph;
+        r.key.graph_fp = memo->fp;
+        depth = memo->depth;
     } else {
-        try {
-            dnn::Graph g = dnn::graphFromText(request.graph_text);
-            if (g.precision() != dnn::Precision::Int8)
-                g = dnn::quantize(g);
-            r.owned_graph = std::make_unique<dnn::Graph>(std::move(g));
-        } catch (const GcmError &e) {
-            failWith(ServeErrorCode::BadGraph,
-                     std::string("inline graph rejected: ") + e.what());
+        // Parse, verify, quantize and fingerprint each distinct text
+        // once per batch; repeats reuse the first request's outcome.
+        const auto [it, fresh] =
+            inline_graphs.try_emplace(request.graph_text);
+        InlineGraph &parsed = it->second;
+        if (fresh) {
+            GCM_OBS_GUARDED(obs::counterAdd("serve.graph.parsed"));
+            try {
+                dnn::Graph g = dnn::graphFromText(request.graph_text);
+                if (g.precision() != dnn::Precision::Int8)
+                    g = dnn::quantize(g);
+                r.owned_graph =
+                    std::make_unique<dnn::Graph>(std::move(g));
+                parsed.graph = r.owned_graph.get();
+                parsed.fp = dnn::graphFingerprint(*parsed.graph);
+                parsed.depth = core::NetworkEncoder::depth(*parsed.graph);
+            } catch (const GcmError &e) {
+                parsed.error_message =
+                    std::string("inline graph rejected: ") + e.what();
+            }
+        }
+        if (parsed.graph == nullptr) {
+            failWith(ServeErrorCode::BadGraph, parsed.error_message);
             return r;
         }
-        r.graph = r.owned_graph.get();
-        r.key.graph_fp = dnn::graphFingerprint(*r.graph);
+        r.graph = parsed.graph;
+        r.key.graph_fp = parsed.fp;
+        depth = parsed.depth;
     }
 
     // --- device -> signature-latency vector + fingerprint.
@@ -212,6 +222,33 @@ PredictionService::resolve(const ServeRequest &request,
                      + " latencies, the model expects "
                      + std::to_string(want));
         return r;
+    }
+
+    // --- the network must fit the model's positional layout.
+    const std::size_t max_layers = model.encoder().maxLayers();
+    if (depth > max_layers) {
+        failWith(ServeErrorCode::UnsupportedNetwork,
+                 "network '" + r.graph->name() + "' has "
+                     + std::to_string(depth)
+                     + " layers; the model's layout allows at most "
+                     + std::to_string(max_layers));
+        return r;
+    }
+    // Encode a zoo network once per (network, model version); the
+    // batch pins one version, so within a batch this hits after the
+    // first request for the network.
+    if (memo != nullptr) {
+        if (memo->enc_version != version) {
+            try {
+                memo->enc = model.encodeNetwork(memo->graph);
+            } catch (const GcmError &e) {
+                failWith(ServeErrorCode::Internal,
+                         std::string("prediction failed: ") + e.what());
+                return r;
+            }
+            memo->enc_version = version;
+        }
+        r.net_features = &memo->enc;
     }
     r.key.device_fp = signatureFingerprint(r.signature);
     r.key.model_version = version;
@@ -282,8 +319,10 @@ PredictionService::processBatch(const std::vector<ServeRequest> &requests,
     std::unordered_map<std::uint64_t, std::size_t> enc_slot;
     std::vector<const dnn::Graph *> enc_graphs;
     std::vector<std::size_t> task_enc;
+    InlineGraphs inline_graphs;
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        resolved.push_back(resolve(requests[i], model, active.version));
+        resolved.push_back(
+            resolve(requests[i], model, active.version, inline_graphs));
         Resolved &r = resolved.back();
         if (!r.ok()) {
             responses[i] = ServeResponse::failure(

@@ -21,6 +21,9 @@
  *    task per key, then one blocked FlatEnsemble::predictBatch over
  *    the whole row matrix — itself bit-identical at any thread count
  *    by the ml/flat_ensemble.hh contract.
+ *  - Each distinct inline graph text is parsed, verified, quantized
+ *    and fingerprinted once per batch; its repeats reuse that outcome
+ *    (counted by the guarded `serve.graph.parsed` obs counter).
  *  - Duplicate keys within a batch are coalesced into one compute
  *    (counted by the cache as `coalesced`), so results (and cache
  *    contents) cannot depend on a race between identical requests.
@@ -35,6 +38,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -89,13 +94,14 @@ struct ServeRequest
 /** Machine-readable error categories of the serve protocol. */
 enum class ServeErrorCode
 {
-    BadRequest,     // malformed JSON / schema violation / bad values
-    UnknownNetwork, // network name not in the zoo
-    UnknownDevice,  // device name not in the device table
-    BadGraph,       // inline graph failed to parse/verify
-    NoModel,        // registry has no active servable snapshot
-    Overloaded,     // class queue full: the front end's shed rung
-    Internal,       // prediction failed after admission
+    BadRequest,         // malformed JSON / schema violation / bad values
+    UnknownNetwork,     // network name not in the zoo
+    UnsupportedNetwork, // more layers than the model's layout allows
+    UnknownDevice,      // device name not in the device table
+    BadGraph,           // inline graph failed to parse/verify
+    NoModel,            // registry has no active servable snapshot
+    Overloaded,         // class queue full: the front end's shed rung
+    Internal,           // prediction failed after admission
 };
 
 const char *serveErrorCodeName(ServeErrorCode code);
@@ -182,9 +188,13 @@ class PredictionService
     /** Outcome of resolving one request (error_message empty = ok). */
     struct Resolved
     {
-        /** Points into graph_memo_ or at owned_graph. */
+        /**
+         * Points into graph_memo_, at owned_graph, or at the
+         * owned_graph of the batch's first request with the same
+         * inline text.
+         */
         const dnn::Graph *graph = nullptr;
-        /** Owner for inline graphs (memo-backed entries stay there). */
+        /** Owner for quantized graph_ptr and first-seen inline graphs. */
         std::unique_ptr<dnn::Graph> owned_graph;
         /**
          * Memoized encoder output for zoo networks (points into
@@ -200,9 +210,27 @@ class PredictionService
         bool ok() const { return error_message.empty(); }
     };
 
+    /**
+     * One inline text's outcome, shared by every request of a batch
+     * that sends the same text: the deployment graph (owned by the
+     * first such request's Resolved), its fingerprint and depth, or
+     * the parse error.
+     */
+    struct InlineGraph
+    {
+        const dnn::Graph *graph = nullptr;
+        std::uint64_t fp = 0;
+        std::size_t depth = 0;
+        std::string error_message;
+    };
+    /** Batch-local: exact inline text -> its outcome. */
+    using InlineGraphs =
+        std::unordered_map<std::string_view, InlineGraph>;
+
     Resolved resolve(const ServeRequest &request,
                      const core::SignatureCostModel &model,
-                     ModelRegistry::Version version);
+                     ModelRegistry::Version version,
+                     InlineGraphs &inline_graphs);
 
     const ModelRegistry &registry_;
     DeviceTable device_table_;
@@ -219,6 +247,8 @@ class PredictionService
     {
         dnn::Graph graph;
         std::uint64_t fp = 0;
+        /** core::NetworkEncoder::depth(graph). */
+        std::size_t depth = 0;
         /** 0: nothing encoded yet (versions start at 1). */
         ModelRegistry::Version enc_version = 0;
         std::vector<float> enc;

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dnn/analysis.hh"
 #include "dnn/generator.hh"
@@ -184,4 +186,162 @@ TEST(GraphSerialize, PropertyBitFlipsNeverCrash)
     // The strict parser must catch the overwhelming majority; a flip
     // inside the free-form name field can legitimately survive.
     EXPECT_GT(rejected, 150u);
+}
+
+// --- parser edge cases ---------------------------------------------------
+//
+// Each case pins the outcome of the stream-based parser that the
+// single-pass one replaced, except the two deliberate tightenings
+// pinned by RejectsLeadingPlus and RejectsLooseShapes.
+
+namespace
+{
+
+const std::string kHeader = "gcm-graph v1\n"
+                            "name t\n"
+                            "precision fp32\n"
+                            "nodes 2\n";
+const std::string kInputLine = "node 0 Input k=0 s=1 p=0 oc=0 g=1 act=0 "
+                               "in=- shape=1,8,8,3\n";
+
+/** A two-node text whose ReLU line carries `in` and `shape` as given. */
+std::string
+reluGraph(const std::string &in, const std::string &shape,
+          const std::string &tail = "")
+{
+    return kHeader + kInputLine + "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 "
+           + "in=" + in + " shape=" + shape + tail + "\n";
+}
+
+std::string
+withCrlf(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (c == '\n')
+            out += '\r';
+        out += c;
+    }
+    return out;
+}
+
+/** The GcmError message graphFromText raises for `text` ("" if none). */
+std::string
+rejection(const std::string &text)
+{
+    try {
+        (void)graphFromText(text);
+    } catch (const GcmError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(GraphSerialize, ParsesCrlfLineEndings)
+{
+    const Graph g = quantize(buildZooModel("mobilenet_v3_small"));
+    EXPECT_TRUE(graphsEqual(g, graphFromText(withCrlf(graphToText(g)))));
+}
+
+TEST(GraphSerialize, HeaderTokensMaySpanAnyWhitespace)
+{
+    const Graph g = graphFromText(reluGraph("0", "1,8,8,3"));
+    const std::string text = "  gcm-graph\tv1 name\nt\r\nprecision\vfp32"
+                             " nodes\f2\n"
+                             + kInputLine
+                             + "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 "
+                               "in=0 shape=1,8,8,3\n";
+    EXPECT_TRUE(graphsEqual(g, graphFromText(text)));
+}
+
+TEST(GraphSerialize, IgnoresTrailingTokensAfterShape)
+{
+    const Graph g = graphFromText(reluGraph("0", "1,8,8,3"));
+    EXPECT_TRUE(graphsEqual(
+        g, graphFromText(reluGraph("0", "1,8,8,3", " extra tokens"))));
+}
+
+TEST(GraphSerialize, IgnoresContentAfterTheLastNode)
+{
+    const Graph g = graphFromText(reluGraph("0", "1,8,8,3"));
+    EXPECT_TRUE(graphsEqual(
+        g, graphFromText(reluGraph("0", "1,8,8,3") + "not a node\n")));
+}
+
+TEST(GraphSerialize, InputListEdgeCases)
+{
+    // "in=" is an empty list: fine for the Input node, an arity error
+    // for the ReLU.
+    const Graph empty_input = graphFromText(
+        kHeader + "node 0 Input k=0 s=1 p=0 oc=0 g=1 act=0 in= "
+                  "shape=1,8,8,3\n"
+        + "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,8,8,3\n");
+    EXPECT_TRUE(empty_input.nodes()[0].inputs.empty());
+    EXPECT_THROW((void)graphFromText(reluGraph("", "1,8,8,3")), GcmError);
+    // A trailing comma is dropped; a leading or doubled one is an
+    // empty id.
+    const Graph trailing = graphFromText(reluGraph("0,", "1,8,8,3"));
+    EXPECT_EQ(trailing.nodes()[1].inputs, std::vector<NodeId>{0});
+    EXPECT_NE(rejection(reluGraph(",0", "1,8,8,3"))
+                  .find("input id is not an integer: ''"),
+              std::string::npos);
+    EXPECT_THROW((void)graphFromText(reluGraph("0,,0", "1,8,8,3")),
+                 GcmError);
+}
+
+TEST(GraphSerialize, RejectsWrongShapeComponentCounts)
+{
+    // Five components are one of the deliberate tightenings: the
+    // stream parser ignored the fifth.
+    EXPECT_NE(rejection(reluGraph("0", "1,8,8")).find("malformed shape"),
+              std::string::npos);
+    EXPECT_NE(rejection(reluGraph("0", "1,8,8,3,5")).find("malformed shape"),
+              std::string::npos);
+}
+
+TEST(GraphSerialize, RejectsLooseShapes)
+{
+    // Deliberately stricter than the stream parser, which read any
+    // character as a separator and ignored text after the fourth
+    // component.
+    for (const char *shape : {"1x8x8x3", "1,8,8;3", "1,8,8,3x", "1,8,8,3,"}) {
+        EXPECT_NE(rejection(reluGraph("0", shape)).find("malformed shape"),
+                  std::string::npos)
+            << shape;
+    }
+}
+
+TEST(GraphSerialize, RejectsLeadingPlus)
+{
+    // Deliberately stricter than the stream parser, which took '+' as
+    // a sign on every integer field.
+    const std::string relu = "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 ";
+    EXPECT_THROW((void)graphFromText(reluGraph("+0", "1,8,8,3")), GcmError);
+    EXPECT_THROW((void)graphFromText(reluGraph("0", "+1,8,8,3")), GcmError);
+    EXPECT_THROW((void)graphFromText(
+                     kHeader + kInputLine
+                     + "node 1 ReLU k=+0 s=1 p=0 oc=0 g=1 act=0 in=0 "
+                       "shape=1,8,8,3\n"),
+                 GcmError);
+    EXPECT_THROW((void)graphFromText(
+                     kHeader + kInputLine
+                     + "node +1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 "
+                       "shape=1,8,8,3\n"),
+                 GcmError);
+    EXPECT_NE(rejection("gcm-graph v1\nname t\nprecision fp32\nnodes +2\n"
+                        + kInputLine + relu + "in=0 shape=1,8,8,3\n")
+                  .find("missing node count"),
+              std::string::npos);
+}
+
+TEST(GraphSerialize, RejectsEofRightAfterHeader)
+{
+    for (const std::string &text :
+         {std::string("gcm-graph v1\nname t\nprecision fp32\nnodes 2"),
+          std::string("gcm-graph v1\nname t\nprecision fp32\nnodes 2\n")}) {
+        EXPECT_NE(rejection(text).find("truncated stream (0 of 2 nodes)"),
+                  std::string::npos);
+    }
 }

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/net_encoder.hh"
 #include "dnn/fingerprint.hh"
 #include "dnn/generator.hh"
 #include "dnn/quantize.hh"
@@ -461,6 +462,109 @@ TEST(Service, CoalescesDuplicateKeysWithinBatch)
     // One unique key -> one insertion, even though all three missed.
     EXPECT_EQ(service.cache().stats().insertions, 1u);
     EXPECT_EQ(service.cache().stats().misses, 3u);
+}
+
+TEST(Service, InlineTextParsedOncePerBatch)
+{
+    // A search generation's shape: every candidate text is sent once
+    // per device. Add a malformed text sent twice and a valid text on
+    // an unknown device.
+    std::vector<std::string> devices;
+    for (const auto &[name, sig] : testDeviceTable()) {
+        if (devices.size() < 3)
+            devices.push_back(name);
+    }
+    dnn::RandomNetworkGenerator gen(dnn::SearchSpace{}, 2323);
+    std::vector<serve::ServeRequest> batch;
+    const auto add = [&batch](std::string text, std::string device) {
+        serve::ServeRequest r;
+        r.id = "r" + std::to_string(batch.size());
+        r.graph_text = std::move(text);
+        r.device = std::move(device);
+        batch.push_back(std::move(r));
+    };
+    for (int c = 0; c < 8; ++c) {
+        const std::string text = dnn::graphToText(
+            gen.generate("cand" + std::to_string(c)));
+        for (const auto &device : devices)
+            add(text, device);
+    }
+    const std::string malformed = "gcm-graph v1\nname broken\nnodes x\n";
+    add(malformed, devices[0]);
+    add(malformed, devices[1]);
+    add(dnn::graphToText(gen.generate("lost")), "not-a-phone");
+
+    serve::PredictionService batched(testRegistry(), testDeviceTable(),
+                                     {});
+    obs::reset();
+    obs::setEnabled(true);
+    const auto responses = batched.processBatch(batch);
+    const std::uint64_t parsed = obs::counterValue("serve.graph.parsed");
+    obs::setEnabled(false);
+    obs::reset();
+    // 8 candidates + the malformed text; the unknown device fails its
+    // request check before any parse.
+    EXPECT_EQ(parsed, 9u);
+
+    serve::PredictionService single(testRegistry(), testDeviceTable(),
+                                    {});
+    ASSERT_EQ(responses.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto alone = single.processBatch({batch[i]});
+        EXPECT_EQ(serve::renderResponse(responses[i]),
+                  serve::renderResponse(alone[0]))
+            << i;
+    }
+    EXPECT_TRUE(responses[0].ok) << responses[0].error_message;
+    EXPECT_EQ(responses[24].error_code, serve::ServeErrorCode::BadGraph);
+    EXPECT_EQ(responses[25].error_message, responses[24].error_message);
+    EXPECT_EQ(responses[26].error_code,
+              serve::ServeErrorCode::UnknownDevice);
+    const auto a = batched.cache().stats();
+    const auto b = single.cache().stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.insertions, b.insertions);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.coalesced, b.coalesced);
+    EXPECT_EQ(a.misses, 24u);
+}
+
+TEST(Service, TooDeepNetworkIsUnsupported)
+{
+    // A network deeper than the model's positional layout is the
+    // client's problem, named with both depths, whether it comes by
+    // zoo name or as inline text.
+    const dnn::Graph deep =
+        dnn::quantize(dnn::buildZooModel("efficientnet_b0"));
+    const std::size_t depth = core::NetworkEncoder::depth(deep);
+    const std::size_t limit = testModel().encoder().maxLayers();
+    ASSERT_GT(depth, limit);
+    serve::ServeRequest inline_req;
+    inline_req.id = "inline";
+    inline_req.graph_text = dnn::graphToText(deep);
+    inline_req.device = firstDeviceName();
+
+    serve::PredictionService service(testRegistry(), testDeviceTable(),
+                                     {});
+    const auto responses = service.processBatch(
+        {networkRequest("name", "efficientnet_b0", firstDeviceName()),
+         inline_req});
+    for (const auto &r : responses) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error_code, serve::ServeErrorCode::UnsupportedNetwork);
+        EXPECT_NE(r.error_message.find(std::to_string(depth) + " layers"),
+                  std::string::npos)
+            << r.error_message;
+        EXPECT_NE(r.error_message.find("at most " + std::to_string(limit)),
+                  std::string::npos)
+            << r.error_message;
+        EXPECT_NE(serve::renderResponse(r).find(
+                      "\"code\": \"unsupported_network\""),
+                  std::string::npos);
+    }
+    // Refused before the cache: nothing was probed or computed.
+    EXPECT_EQ(service.cache().stats().misses, 0u);
 }
 
 TEST(Service, BatchIsThreadCountInvariant)

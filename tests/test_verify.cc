@@ -443,3 +443,72 @@ TEST(DeserializeHardening, RoundTripStillWorks)
     EXPECT_EQ(back.numNodes(), g.numNodes());
     EXPECT_TRUE(verifyGraph(back).empty());
 }
+
+namespace
+{
+
+/** A two-node text with `relu_line` as node 1. */
+std::string
+withReluLine(const std::string &relu_line)
+{
+    return "gcm-graph v1\n"
+           "name t\n"
+           "precision fp32\n"
+           "nodes 2\n"
+           "node 0 Input k=0 s=1 p=0 oc=0 g=1 act=0 in=- shape=1,8,8,3\n"
+           + relu_line + "\n";
+}
+
+} // namespace
+
+TEST(DeserializeHardening, RejectsInt32OverflowInEveryField)
+{
+    // '%' marks the field under test.
+    const char *const templates[] = {
+        "node % ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=% s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=% p=0 oc=0 g=1 act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=% oc=0 g=1 act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=% g=1 act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=% act=0 in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=% in=0 shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=% shape=1,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=%,8,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,%,8,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,8,%,3",
+        "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 in=0 shape=1,8,8,%",
+    };
+    for (const char *big :
+         {"2147483648", "-2147483649", "99999999999999999999"}) {
+        for (const char *tmpl : templates) {
+            std::string line = tmpl;
+            line.replace(line.find('%'), 1, big);
+            EXPECT_THROW((void)graphFromText(withReluLine(line)), GcmError)
+                << line;
+        }
+    }
+}
+
+TEST(DeserializeHardening, RejectsEmbeddedNul)
+{
+    const std::string line = "node 1 ReLU k=0 s=1 p=0 oc=0 g=1 act=0 "
+                             "in=0 shape=1,8,8,3";
+    for (const std::string at : {"k=0", "in=0", "ReLU", "shape=1"}) {
+        std::string text = withReluLine(line);
+        text.insert(text.find(at, text.find("node 1")) + at.size(), 1,
+                    '\0');
+        EXPECT_THROW((void)graphFromText(text), GcmError) << at;
+    }
+}
+
+TEST(DeserializeHardening, RejectsZeroAndNegativeNodeCounts)
+{
+    for (const char *count : {"0", "-1"}) {
+        const std::string text =
+            std::string("gcm-graph v1\nname t\nprecision fp32\nnodes ")
+            + count
+            + "\nnode 0 Input k=0 s=1 p=0 oc=0 g=1 act=0 in=- "
+              "shape=1,8,8,3\n";
+        EXPECT_THROW((void)graphFromText(text), GcmError) << count;
+    }
+}

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 #
-# Static-analysis CI lanes:
+# CI lanes:
 #   1. lint: gcm-lint (the in-tree invariant analyzer, DESIGN.md §11)
 #      must report zero error-severity findings over the live tree,
 #      its fixture tests must each catch their seeded violation, and
 #      clang-tidy (when installed) sweeps the directories touched by
 #      the current change using the lane's compile database;
-#   2. build everything with warnings-as-errors under ASan+UBSan and
+#   2. perfbench smoke: build the end-to-end benchmark from this tree,
+#      run its self-tests and one short serve-unseen run, which must
+#      exit 0 and report "correct": true;
+#   3. build everything with warnings-as-errors under ASan+UBSan and
 #      run the tier-1 test suite;
-#   3. rebuild the parallel-path tests under TSan (address and thread
+#   4. rebuild the parallel-path tests under TSan (address and thread
 #      sanitizers are mutually exclusive, hence the second build tree)
 #      and run them with a worker pool forced on via GCM_THREADS,
 #      then soak the serving front end at 2x capacity (open-loop
@@ -16,11 +19,11 @@
 #      shed-rate and exact served + shed accounting) and the fleet closed
 #      loop (streaming campaign -> retrain -> canary rollback drill
 #      with live serving between rounds);
-#   4. rebuild with gcov instrumentation, run the observability,
+#   5. rebuild with gcov instrumentation, run the observability,
 #      serving, search and fleet tests and enforce a 70% line-coverage
 #      floor on src/obs, src/serve, src/search and src/fleet.
-# Any lint finding, warning, test failure, sanitizer report or
-# coverage shortfall fails the script.
+# Any lint finding, warning, test failure, sanitizer report, coverage
+# shortfall or incorrect benchmark run fails the script.
 #
 #   tools/check.sh [extra ctest args...]
 #
@@ -81,6 +84,22 @@ else
     echo "check.sh: WARNING clang-tidy not found; skipping the tidy" \
          "sweep (gcm-lint gate already enforced)"
 fi
+
+# --- perfbench smoke lane: a benchmark that no longer builds or runs
+# from this tree fails here, not when its numbers are next needed.
+# run.py builds into .bench_build/ (or $CARGO_TARGET_DIR).
+python3 "$ROOT/perfbench/run.py" --selftest
+BENCH_RESULT="$(python3 "$ROOT/perfbench/run.py" --workload serve-unseen \
+    --seconds 1 --trace 0 | tail -n 1)"
+case "$BENCH_RESULT" in
+    *'"correct": true'*) ;;
+    *)
+        echo "check.sh: FAIL perfbench serve-unseen smoke run is not" \
+             "correct: $BENCH_RESULT"
+        exit 1
+        ;;
+esac
+echo "check.sh: perfbench self-tests + serve-unseen smoke run correct"
 
 cmake -S "$ROOT" -B "$BUILD" \
     -DGCM_SANITIZE=address,undefined \
