@@ -23,6 +23,7 @@
 #include "ml/gbt.hh"
 #include "search/search.hh"
 #include "serve/frontend.hh"
+#include "serve/protocol.hh"
 #include "serve/registry.hh"
 #include "serve/service.hh"
 #include "sim/campaign.hh"
@@ -466,17 +467,8 @@ BM_ServeOverload(benchmark::State &state)
     std::vector<serve::Arrival> arrivals;
     arrivals.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        std::string line = "{\"id\": \"" + batch[i].id
-                           + "\", \"network\": \"" + batch[i].network
-                           + "\", \"signature\": [";
-        for (std::size_t k = 0; k < batch[i].signature.size(); ++k) {
-            if (k)
-                line += ", ";
-            line += std::to_string(batch[i].signature[k]);
-        }
-        line += "]}";
-        arrivals.push_back(
-            {static_cast<double>(i) * gap_ms, std::move(line)});
+        arrivals.push_back({static_cast<double>(i) * gap_ms,
+                            serve::renderRequest(batch[i])});
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -302,8 +302,8 @@ graphFromText(std::string_view text)
     }
 
     // The one character after the count (its newline) ends the header
-    // line; empty lines are skipped, and whatever follows the last
-    // node is ignored.
+    // line; empty lines are skipped, and only whitespace may follow
+    // the last node, so a lowered count cannot cut the graph short.
     in.skipOne();
     std::vector<Node> nodes;
     nodes.reserve(count);
@@ -315,6 +315,9 @@ graphFromText(std::string_view text)
     if (nodes.size() != count)
         fatal("deserializeGraph: truncated stream (", nodes.size(),
               " of ", count, " nodes)");
+    if (!in.token().empty())
+        fatal("deserializeGraph: content after the last of ", count,
+              " nodes");
 
     Graph g(std::string(name), std::move(nodes),
             precision_str == "int8" ? Precision::Int8

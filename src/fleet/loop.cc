@@ -11,6 +11,7 @@
 #include "dnn/zoo.hh"
 #include "ml/metrics.hh"
 #include "obs/obs.hh"
+#include "serve/protocol.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
@@ -465,25 +466,19 @@ FleetController::serveRound(std::size_t round)
     std::vector<serve::Arrival> arrivals;
     arrivals.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::string &network = names_[static_cast<std::size_t>(
+        serve::ServeRequest request;
+        request.id =
+            "r" + std::to_string(round) + "-" + std::to_string(i);
+        request.network = names_[static_cast<std::size_t>(
             body_rng.uniformInt(
                 0, static_cast<std::int64_t>(zoo_count_) - 1))];
-        const std::string &device = devices[static_cast<std::size_t>(
+        request.device = devices[static_cast<std::size_t>(
             body_rng.uniformInt(
                 0, static_cast<std::int64_t>(devices.size()) - 1))];
-        std::string line = "{\"id\": ";
-        json::appendJsonString(line,
-                               "r" + std::to_string(round) + "-"
-                                   + std::to_string(i));
-        line += ", \"network\": ";
-        json::appendJsonString(line, network);
-        line += ", \"device\": ";
-        json::appendJsonString(line, device);
         if (bulk_rng.bernoulli(config_.traffic.bulk_fraction))
-            line += ", \"priority\": \"bulk\"";
-        line += "}";
-        arrivals.push_back(
-            {static_cast<double>(i) * step_ms, std::move(line)});
+            request.priority = serve::Priority::Bulk;
+        arrivals.push_back({static_cast<double>(i) * step_ms,
+                            serve::renderRequest(request)});
     }
 
     const serve::FrontEndReport report =
@@ -543,144 +538,97 @@ runFleetLoop(const FleetLoopConfig &config, std::string *report_out)
     return result;
 }
 
-namespace
-{
-
-using json::formatNumber;
-
-void
-appendServe(std::string &out, const RoundServeStats &s)
-{
-    if (!s.active) {
-        out += "null";
-        return;
-    }
-    out += "{\"offered\": " + std::to_string(s.offered)
-        + ", \"ok\": " + std::to_string(s.ok)
-        + ", \"errors\": " + std::to_string(s.errors)
-        + ", \"shed\": " + std::to_string(s.tier_shed)
-        + ", \"sim_ms\": " + formatNumber(s.sim_duration_ms) + "}";
-}
-
-} // namespace
-
 std::string
 renderFleetReport(const FleetLoopConfig &config,
                   const FleetResult &result)
 {
-    std::string out = "{\n";
-    out += "  \"schema\": \"gcm-fleet/v3\",\n";
-    out += "  \"config\": {\n";
-    out += "    \"fleet_size\": "
-        + std::to_string(config.fleet.fleet_size) + ",\n";
-    out += "    \"fleet_seed\": " + std::to_string(config.fleet.seed)
-        + ",\n";
-    out += "    \"rounds\": " + std::to_string(config.rounds) + ",\n";
-    out += "    \"devices_per_round\": "
-        + std::to_string(config.devices_per_round) + ",\n";
-    out += "    \"fault_rate\": " + formatNumber(config.fault_rate)
-        + ",\n";
-    out += "    \"random_networks\": "
-        + std::to_string(config.num_random_networks) + ",\n";
-    out += "    \"cadence_rounds\": "
-        + std::to_string(config.retrain.cadence_rounds) + ",\n";
-    out += "    \"holdout_fraction\": "
-        + formatNumber(config.canary.holdout_fraction) + ",\n";
-    out += "    \"max_r2_regression\": "
-        + formatNumber(config.canary.max_r2_regression) + ",\n";
-    out += "    \"workers\": "
-        + std::to_string(config.traffic.workers) + ",\n";
-    out += "    \"requests_per_round\": "
-        + std::to_string(config.traffic.requests_per_round) + "\n";
-    out += "  },\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject(json::Layout::Block).field("schema", "gcm-fleet/v3");
+    w.key("config")
+        .beginObject(json::Layout::Block)
+        .field("fleet_size", config.fleet.fleet_size)
+        .field("fleet_seed", config.fleet.seed)
+        .field("rounds", config.rounds)
+        .field("devices_per_round", config.devices_per_round)
+        .field("fault_rate", config.fault_rate)
+        .field("random_networks", config.num_random_networks)
+        .field("cadence_rounds", config.retrain.cadence_rounds)
+        .field("holdout_fraction", config.canary.holdout_fraction)
+        .field("max_r2_regression", config.canary.max_r2_regression)
+        .field("workers", config.traffic.workers)
+        .field("requests_per_round", config.traffic.requests_per_round)
+        .endObject();
 
-    out += "  \"holdout_devices\": "
-        + std::to_string(result.holdout_devices) + ",\n";
-    out += "  \"eval_devices\": "
-        + std::to_string(result.eval_devices) + ",\n";
-    out += "  \"signature\": [";
-    for (std::size_t i = 0; i < result.signature.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        json::appendJsonString(out, result.signature[i]);
-    }
-    out += "],\n";
+    w.field("holdout_devices", result.holdout_devices)
+        .field("eval_devices", result.eval_devices)
+        .key("signature")
+        .array(result.signature);
 
-    out += "  \"rounds\": [";
-    for (std::size_t i = 0; i < result.rounds.size(); ++i) {
-        const RoundLog &r = result.rounds[i];
-        out += i == 0 ? "\n    " : ",\n    ";
-        out += "{\"round\": " + std::to_string(r.round)
-            + ", \"cohort\": " + std::to_string(r.cohort_devices)
-            + ", \"sessions_attempted\": "
-            + std::to_string(r.sessions_attempted)
-            + ", \"sessions_ok\": " + std::to_string(r.sessions_ok)
-            + ", \"appended\": " + std::to_string(r.records_appended)
-            + ", \"rejected\": " + std::to_string(r.records_rejected)
-            + ", \"quarantined_new\": "
-            + std::to_string(r.quarantined_new)
-            + ", \"repo_size\": " + std::to_string(r.repo_size)
-            + ", \"campaign_sim_ms\": " + formatNumber(r.campaign_sim_ms)
-            + ", \"serve\": ";
-        appendServe(out, r.serve);
-        out += "}";
+    w.key("rounds").beginArray(json::Layout::Block);
+    for (const RoundLog &r : result.rounds) {
+        w.beginObject()
+            .field("round", r.round)
+            .field("cohort", r.cohort_devices)
+            .field("sessions_attempted", r.sessions_attempted)
+            .field("sessions_ok", r.sessions_ok)
+            .field("appended", r.records_appended)
+            .field("rejected", r.records_rejected)
+            .field("quarantined_new", r.quarantined_new)
+            .field("repo_size", r.repo_size)
+            .field("campaign_sim_ms", r.campaign_sim_ms)
+            .key("serve");
+        if (!r.serve.active) {
+            w.null().endObject();
+            continue;
+        }
+        w.beginObject()
+            .field("offered", r.serve.offered)
+            .field("ok", r.serve.ok)
+            .field("errors", r.serve.errors)
+            .field("shed", r.serve.tier_shed)
+            .field("sim_ms", r.serve.sim_duration_ms)
+            .endObject()
+            .endObject();
     }
-    out += result.rounds.empty() ? "],\n" : "\n  ],\n";
+    w.endArray();
 
-    out += "  \"retrains\": [";
-    for (std::size_t i = 0; i < result.retrains.size(); ++i) {
-        const RetrainLog &t = result.retrains[i];
-        out += i == 0 ? "\n    " : ",\n    ";
-        out += "{\"ordinal\": " + std::to_string(t.ordinal)
-            + ", \"round\": " + std::to_string(t.round)
-            + ", \"sabotaged\": "
-            + std::string(t.sabotaged ? "true" : "false")
-            + ", \"train_devices\": "
-            + std::to_string(t.train_devices)
-            + ", \"missing_cells\": "
-            + std::to_string(t.missing_cells)
-            + ", \"imputed_cells\": "
-            + std::to_string(t.imputed_cells) + ", \"candidate_r2\": "
-            + (t.evaluated ? formatNumber(t.candidate_r2) : "null")
-            + ", \"incumbent_r2\": "
-            + (t.evaluated ? formatNumber(t.incumbent_r2) : "null")
-            + ", \"version\": " + std::to_string(t.version)
-            + ", \"decision\": \""
-            + canaryDecisionName(t.decision) + "\", \"reason\": ";
-        json::appendJsonString(out, t.reason);
-        out += "}";
+    w.key("retrains").beginArray(json::Layout::Block);
+    for (const RetrainLog &t : result.retrains) {
+        w.beginObject()
+            .field("ordinal", t.ordinal)
+            .field("round", t.round)
+            .field("sabotaged", t.sabotaged)
+            .field("train_devices", t.train_devices)
+            .field("missing_cells", t.missing_cells)
+            .field("imputed_cells", t.imputed_cells)
+            .key("candidate_r2");
+        t.evaluated ? w.value(t.candidate_r2) : w.null();
+        w.key("incumbent_r2");
+        t.evaluated ? w.value(t.incumbent_r2) : w.null();
+        w.field("version", t.version)
+            .field("decision", canaryDecisionName(t.decision))
+            .field("reason", t.reason)
+            .endObject();
     }
-    out += result.retrains.empty() ? "],\n" : "\n  ],\n";
+    w.endArray();
 
-    out += "  \"summary\": {\n";
-    out += "    \"publishes\": " + std::to_string(result.publishes)
-        + ",\n";
-    out += "    \"rollbacks\": " + std::to_string(result.rollbacks)
-        + ",\n";
-    out += "    \"skipped\": " + std::to_string(result.skipped)
-        + ",\n";
-    out += "    \"final_version\": "
-        + std::to_string(result.final_version) + ",\n";
-    out += "    \"registry_versions\": [";
-    for (std::size_t i = 0; i < result.registry_versions.size();
-         ++i) {
-        if (i > 0)
-            out += ", ";
-        out += std::to_string(result.registry_versions[i]);
-    }
-    out += "],\n";
-    out += "    \"repo_size\": " + std::to_string(result.repo_size)
-        + ",\n";
-    out += "    \"quarantined_devices\": "
-        + std::to_string(result.quarantined_devices) + ",\n";
-    out += "    \"served_total\": "
-        + std::to_string(result.served_total) + ",\n";
-    out += "    \"shed_total\": " + std::to_string(result.shed_total)
-        + ",\n";
-    out += "    \"sim_total_ms\": " + formatNumber(result.sim_total_ms)
-        + "\n";
-    out += "  }\n";
-    out += "}\n";
+    w.key("summary")
+        .beginObject(json::Layout::Block)
+        .field("publishes", result.publishes)
+        .field("rollbacks", result.rollbacks)
+        .field("skipped", result.skipped)
+        .field("final_version", result.final_version)
+        .key("registry_versions")
+        .array(result.registry_versions)
+        .field("repo_size", result.repo_size)
+        .field("quarantined_devices", result.quarantined_devices)
+        .field("served_total", result.served_total)
+        .field("shed_total", result.shed_total)
+        .field("sim_total_ms", result.sim_total_ms)
+        .endObject()
+        .endObject();
+    out += '\n';
     return out;
 }
 

@@ -86,37 +86,31 @@ LintReport::str() const
 std::string
 LintReport::json() const
 {
-    std::string out = "{\"schema\":\"gcm-lint/v1\",\"files_scanned\":";
-    out += std::to_string(files_scanned_);
-    out += ",\"counts\":{\"error\":";
-    out += std::to_string(count(Severity::Error));
-    out += ",\"warning\":";
-    out += std::to_string(count(Severity::Warning));
-    out += ",\"note\":";
-    out += std::to_string(count(Severity::Note));
-    out += ",\"suppressed\":";
-    out += std::to_string(suppressed_);
-    out += "},\"findings\":[";
-    bool first = true;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("schema", "gcm-lint/v2")
+        .field("files_scanned", files_scanned_)
+        .key("counts")
+        .beginObject()
+        .field("error", count(Severity::Error))
+        .field("warning", count(Severity::Warning))
+        .field("note", count(Severity::Note))
+        .field("suppressed", suppressed_)
+        .endObject()
+        .key("findings")
+        .beginArray();
     for (const auto &f : findings_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"file\":";
-        json::appendJsonString(out, f.file);
-        out += ",\"line\":";
-        out += std::to_string(f.line);
-        out += ",\"check\":";
-        json::appendJsonString(out, f.check);
-        out += ",\"severity\":";
-        json::appendJsonString(out, severityName(f.severity));
-        out += ",\"message\":";
-        json::appendJsonString(out, f.message);
-        out += ",\"hint\":";
-        json::appendJsonString(out, f.hint);
-        out += "}";
+        w.beginObject()
+            .field("file", f.file)
+            .field("line", f.line)
+            .field("check", f.check)
+            .field("severity", severityName(f.severity))
+            .field("message", f.message)
+            .field("hint", f.hint)
+            .endObject();
     }
-    out += "]}";
+    w.endArray().endObject();
     return out;
 }
 

@@ -95,7 +95,7 @@ class LintReport
     /** Multi-line human rendering, one finding per line + summary. */
     std::string str() const;
 
-    /** gcm-lint/v1 JSON report (schema in DESIGN.md §11). */
+    /** gcm-lint/v2 JSON report, one line (schema in DESIGN.md §11). */
     std::string json() const;
 
   private:

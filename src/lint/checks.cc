@@ -189,7 +189,7 @@ fileFeedsOutput(const SourceFile &f)
         "ofstream",  "ostringstream",   "ostream",   "printf",
         "fprintf",   "appendJsonString", "serialize", "deserialize",
         "toCsv",     "fromCsv",          "writeCsv",  "reportJson",
-        "writeReport",
+        "writeReport", "Writer", // json::Writer, whatever header
     };
     static const std::array<const char *, 6> kIncludes = {
         "<fstream>", "<ostream>",    "<iostream>",

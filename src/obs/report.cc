@@ -1,10 +1,8 @@
-#include <cstdio>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "obs/registry.hh"
 #include "util/error.hh"
+#include "util/json.hh"
 
 namespace gcm::obs
 {
@@ -12,51 +10,19 @@ namespace gcm::obs
 namespace
 {
 
+/** One span as an inline object whose children form a block array. */
 void
-appendEscaped(std::ostream &os, const std::string &s)
+writeSpan(json::Writer &w, const detail::SpanNode &node)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-emitSpan(std::ostream &os, const detail::SpanNode &node, int indent)
-{
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    os << pad << "{\"name\": ";
-    appendEscaped(os, node.name);
-    os << ", \"count\": " << node.count
-       << ", \"total_ms\": " << node.total_ms << ", \"children\": [";
-    if (node.children.empty()) {
-        os << "]}";
-        return;
-    }
-    os << "\n";
-    bool first = true;
-    for (const auto &[name, child] : node.children) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        emitSpan(os, *child, indent + 1);
-    }
-    os << "\n" << pad << "]}";
+    w.beginObject()
+        .field("name", node.name)
+        .field("count", node.count)
+        .field("total_ms", node.total_ms)
+        .key("children")
+        .beginArray(json::Layout::Block);
+    for (const auto &[name, child] : node.children)
+        writeSpan(w, *child);
+    w.endArray().endObject();
 }
 
 } // namespace
@@ -66,65 +32,35 @@ reportJson()
 {
     detail::Registry &reg = detail::registry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\n";
-    os << "  \"schema\": \"gcm-perf-report/v1\",\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject(json::Layout::Block).field("schema", "gcm-perf-report/v1");
 
-    os << "  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : reg.counters) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        appendEscaped(os, name);
-        os << ": " << value;
-    }
-    os << (first ? "},\n" : "\n  },\n");
+    w.key("counters").beginObject(json::Layout::Block);
+    for (const auto &[name, value] : reg.counters)
+        w.field(name, value);
+    w.endObject();
 
-    os << "  \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : reg.gauges) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        appendEscaped(os, name);
-        os << ": " << value;
-    }
-    os << (first ? "},\n" : "\n  },\n");
+    w.key("gauges").beginObject(json::Layout::Block);
+    for (const auto &[name, value] : reg.gauges)
+        w.field(name, value);
+    w.endObject();
 
-    os << "  \"histograms\": {";
-    first = true;
+    w.key("histograms").beginObject(json::Layout::Block);
     for (const auto &[name, h] : reg.histograms) {
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        appendEscaped(os, name);
-        os << ": {\"bounds_ms\": [";
-        for (std::size_t i = 0;
-             i + 1 < kNumHistogramBuckets; ++i) {
-            if (i)
-                os << ", ";
-            os << kHistogramBounds[i];
-        }
-        os << "], \"counts\": [";
-        for (std::size_t i = 0; i < h.counts.size(); ++i) {
-            if (i)
-                os << ", ";
-            os << h.counts[i];
-        }
-        os << "], \"count\": " << h.count
-           << ", \"sum_ms\": " << h.sum_ms << "}";
+        w.key(name).beginObject();
+        w.key("bounds_ms").array(kHistogramBounds);
+        w.key("counts").array(h.counts);
+        w.field("count", h.count).field("sum_ms", h.sum_ms).endObject();
     }
-    os << (first ? "},\n" : "\n  },\n");
+    w.endObject();
 
-    os << "  \"spans\": [";
-    first = true;
-    for (const auto &[name, child] : reg.root.children) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        emitSpan(os, *child, 2);
-    }
-    os << (first ? "]\n" : "\n  ]\n");
-    os << "}\n";
-    return os.str();
+    w.key("spans").beginArray(json::Layout::Block);
+    for (const auto &[name, child] : reg.root.children)
+        writeSpan(w, *child);
+    w.endArray().endObject();
+    out += '\n';
+    return out;
 }
 
 void

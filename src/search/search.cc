@@ -322,8 +322,6 @@ ArchitectureSearch::run()
 namespace
 {
 
-using json::formatNumber;
-
 std::string
 fmtFingerprint(std::uint64_t fp)
 {
@@ -334,34 +332,23 @@ fmtFingerprint(std::uint64_t fp)
 }
 
 void
-appendCandidate(std::string &out, const Candidate &c,
-                const SearchConfig &config, const std::string &indent)
+writeCandidate(json::Writer &w, const Candidate &c,
+               const SearchConfig &config)
 {
-    out += "{\n";
-    out += indent + "  \"genome\": ";
-    json::appendJsonString(out, dnn::formatGenome(c.genome));
-    out += ",\n";
-    out += indent + "  \"fingerprint\": ";
-    json::appendJsonString(out, fmtFingerprint(c.fingerprint));
-    out += ",\n";
-    out += indent
-        + "  \"worst_latency_ms\": " + formatNumber(c.worst_latency_ms)
-        + ",\n";
-    out += indent + "  \"latency_ms\": {";
-    for (std::size_t d = 0; d < config.devices.size(); ++d) {
-        if (d > 0)
-            out += ", ";
-        json::appendJsonString(out, config.devices[d]);
-        out += ": " + formatNumber(c.latency_ms[d]);
-    }
-    out += "},\n";
-    out += indent + "  \"mmacs\": " + formatNumber(c.mmacs) + ",\n";
-    out += indent
-        + "  \"params\": " + std::to_string(c.params) + ",\n";
-    out += indent
-        + "  \"generation\": " + std::to_string(c.generation) + ",\n";
-    out += indent + "  \"index\": " + std::to_string(c.index) + "\n";
-    out += indent + "}";
+    w.beginObject(json::Layout::Block)
+        .field("genome", dnn::formatGenome(c.genome))
+        .field("fingerprint", fmtFingerprint(c.fingerprint))
+        .field("worst_latency_ms", c.worst_latency_ms)
+        .key("latency_ms")
+        .beginObject();
+    for (std::size_t d = 0; d < config.devices.size(); ++d)
+        w.field(config.devices[d], c.latency_ms[d]);
+    w.endObject()
+        .field("mmacs", c.mmacs)
+        .field("params", c.params)
+        .field("generation", c.generation)
+        .field("index", c.index)
+        .endObject();
 }
 
 } // namespace
@@ -369,63 +356,45 @@ appendCandidate(std::string &out, const Candidate &c,
 std::string
 renderSearchReport(const SearchConfig &config, const SearchResult &result)
 {
-    std::string out = "{\n";
-    out += "  \"schema\": \"gcm-search/v1\",\n";
-    out += "  \"config\": {\n";
-    out += "    \"budget_ms\": " + formatNumber(config.budget_ms) + ",\n";
-    out += "    \"devices\": [";
-    for (std::size_t d = 0; d < config.devices.size(); ++d) {
-        if (d > 0)
-            out += ", ";
-        json::appendJsonString(out, config.devices[d]);
-    }
-    out += "],\n";
-    out += "    \"seed\": " + std::to_string(config.seed) + ",\n";
-    out += "    \"population\": " + std::to_string(config.population)
-        + ",\n";
-    out += "    \"generations\": " + std::to_string(config.generations)
-        + ",\n";
-    out += "    \"elite\": " + std::to_string(config.elite) + ",\n";
-    out += "    \"crossover_probability\": "
-        + formatNumber(config.crossover_probability) + ",\n";
-    out += "    \"tournament\": " + std::to_string(config.tournament)
-        + "\n";
-    out += "  },\n";
-    out += "  \"model_version\": "
-        + std::to_string(result.model_version) + ",\n";
-    out += "  \"candidates_evaluated\": "
-        + std::to_string(result.candidates_evaluated) + ",\n";
-    out += "  \"candidates_rejected\": "
-        + std::to_string(result.candidates_rejected) + ",\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject(json::Layout::Block).field("schema", "gcm-search/v1");
+    w.key("config")
+        .beginObject(json::Layout::Block)
+        .field("budget_ms", config.budget_ms)
+        .key("devices")
+        .array(config.devices)
+        .field("seed", config.seed)
+        .field("population", config.population)
+        .field("generations", config.generations)
+        .field("elite", config.elite)
+        .field("crossover_probability", config.crossover_probability)
+        .field("tournament", config.tournament)
+        .endObject();
     const serve::ShardedLruCache::Stats &cs = result.cache;
-    out += "  \"cache\": {\"hits\": " + std::to_string(cs.hits)
-        + ", \"misses\": " + std::to_string(cs.misses)
-        + ", \"insertions\": " + std::to_string(cs.insertions)
-        + ", \"evictions\": " + std::to_string(cs.evictions)
-        + ", \"coalesced\": " + std::to_string(cs.coalesced)
-        + ", \"hit_rate\": " + formatNumber(cs.hitRate())
-        + ", \"effective_hit_rate\": "
-        + formatNumber(cs.effectiveHitRate()) + "},\n";
+    w.field("model_version", result.model_version)
+        .field("candidates_evaluated", result.candidates_evaluated)
+        .field("candidates_rejected", result.candidates_rejected)
+        .key("cache")
+        .beginObject()
+        .field("hits", cs.hits)
+        .field("misses", cs.misses)
+        .field("insertions", cs.insertions)
+        .field("evictions", cs.evictions)
+        .field("coalesced", cs.coalesced)
+        .field("hit_rate", cs.hitRate())
+        .field("effective_hit_rate", cs.effectiveHitRate())
+        .endObject();
 
-    out += "  \"front\": [";
-    for (std::size_t i = 0; i < result.front.size(); ++i) {
-        out += i == 0 ? "\n    " : ",\n    ";
-        appendCandidate(out, result.front[i], config, "    ");
-    }
-    out += result.front.empty() ? "],\n" : "\n  ],\n";
+    w.key("front").beginArray(json::Layout::Block);
+    for (const Candidate &c : result.front)
+        writeCandidate(w, c, config);
+    w.endArray();
 
     // front is latency-sorted, so "fastest under budget" is its head;
     // "best for the worst-case cluster" maximizes the accuracy proxy.
-    out += "  \"best_under_budget\": ";
     if (result.front.empty()) {
-        out += "null,\n";
-    } else {
-        appendCandidate(out, result.front.front(), config, "  ");
-        out += ",\n";
-    }
-    out += "  \"best_worst_case\": ";
-    if (result.front.empty()) {
-        out += "null,\n";
+        w.key("best_under_budget").null().key("best_worst_case").null();
     } else {
         const auto best = std::max_element(
             result.front.begin(), result.front.end(),
@@ -436,24 +405,25 @@ renderSearchReport(const SearchConfig &config, const SearchResult &result)
                     return a.worst_latency_ms > b.worst_latency_ms;
                 return a.fingerprint > b.fingerprint;
             });
-        appendCandidate(out, *best, config, "  ");
-        out += ",\n";
+        w.key("best_under_budget");
+        writeCandidate(w, result.front.front(), config);
+        w.key("best_worst_case");
+        writeCandidate(w, *best, config);
     }
 
-    out += "  \"log\": [";
-    for (std::size_t i = 0; i < result.log.size(); ++i) {
-        const GenerationLog &row = result.log[i];
-        out += i == 0 ? "\n    " : ",\n    ";
-        out += "{\"generation\": " + std::to_string(row.generation)
-            + ", \"evaluated\": " + std::to_string(row.evaluated)
-            + ", \"feasible\": " + std::to_string(row.feasible)
-            + ", \"best_latency_ms\": "
-            + formatNumber(row.best_latency_ms) + ", \"best_mmacs\": "
-            + formatNumber(row.best_mmacs) + ", \"front_size\": "
-            + std::to_string(row.front_size) + "}";
+    w.key("log").beginArray(json::Layout::Block);
+    for (const GenerationLog &row : result.log) {
+        w.beginObject()
+            .field("generation", row.generation)
+            .field("evaluated", row.evaluated)
+            .field("feasible", row.feasible)
+            .field("best_latency_ms", row.best_latency_ms)
+            .field("best_mmacs", row.best_mmacs)
+            .field("front_size", row.front_size)
+            .endObject();
     }
-    out += result.log.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
+    w.endArray().endObject();
+    out += '\n';
     return out;
 }
 

@@ -286,7 +286,7 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                 reqs.clear();
                 req_idx.clear();
                 for (const std::size_t idx : b.items) {
-                    const Item &item = items[idx];
+                    Item &item = items[idx];
                     if (!item.parse_error.empty()) {
                         rendered[idx] = renderResponse(
                             ServeResponse::failure(
@@ -295,7 +295,9 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
                                 item.parse_error));
                         continue;
                     }
-                    reqs.push_back(item.request);
+                    // Each item is in exactly one batch, and only
+                    // `shed` and `ok` are read after this phase.
+                    reqs.push_back(std::move(item.request));
                     req_idx.push_back(idx);
                 }
                 if (!reqs.empty()) {

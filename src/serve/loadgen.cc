@@ -1,13 +1,11 @@
 #include "serve/loadgen.hh"
 
 #include <cmath>
-#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "dnn/zoo.hh"
+#include "serve/protocol.hh"
 #include "util/error.hh"
-#include "util/json.hh"
 #include "util/rng.hh"
 
 namespace gcm::serve
@@ -53,9 +51,11 @@ generateLines(Rng &rng, std::size_t sig_width,
     const std::vector<std::string> &zoo = dnn::zooModelNames();
     std::vector<std::string> lines;
     lines.reserve(config.requests);
-    const auto priorityTag = [&](std::size_t i) {
-        return bulk[i] ? std::string(", \"priority\": \"bulk\"")
-                       : std::string();
+    const auto emit = [&](ServeRequest &request, std::size_t i) {
+        request.id = "q" + std::to_string(i);
+        request.priority =
+            bulk[i] ? Priority::Bulk : Priority::Interactive;
+        lines.push_back(renderRequest(request));
     };
 
     if (config.mix == LoadMix::DuplicateHeavy) {
@@ -66,60 +66,33 @@ generateLines(Rng &rng, std::size_t sig_width,
         // A fixed pool of (network, device) pairs, drawn with a
         // skewed weighting so a few pairs dominate — the typical NAS
         // search hammering one device with candidate re-queries.
-        struct Pair
-        {
-            std::string network;
-            std::string device;
-        };
-        std::vector<Pair> pool;
+        std::vector<ServeRequest> pool(config.pool_size);
         std::vector<double> weights;
-        pool.reserve(config.pool_size);
         for (std::size_t p = 0; p < config.pool_size; ++p) {
-            pool.push_back(
-                {zoo[static_cast<std::size_t>(rng.uniformInt(
-                     0, static_cast<std::int64_t>(zoo.size()) - 1))],
-                 device_names[static_cast<std::size_t>(rng.uniformInt(
-                     0,
-                     static_cast<std::int64_t>(device_names.size())
-                         - 1))]});
+            pool[p].network = zoo[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(zoo.size()) - 1))];
+            pool[p].device = device_names[static_cast<std::size_t>(
+                rng.uniformInt(
+                    0, static_cast<std::int64_t>(device_names.size())
+                           - 1))];
             weights.push_back(1.0 / static_cast<double>(p + 1));
         }
-        for (std::size_t i = 0; i < config.requests; ++i) {
-            const Pair &pick = pool[rng.weightedIndex(weights)];
-            std::string line = "{\"id\": ";
-            json::appendJsonString(line, "q" + std::to_string(i));
-            line += ", \"network\": ";
-            json::appendJsonString(line, pick.network);
-            line += ", \"device\": ";
-            json::appendJsonString(line, pick.device);
-            line += priorityTag(i) + "}";
-            lines.push_back(std::move(line));
-        }
+        for (std::size_t i = 0; i < config.requests; ++i)
+            emit(pool[rng.weightedIndex(weights)], i);
         return lines;
     }
 
     // Unique-heavy: every request carries a fresh raw signature
     // vector, so no two requests can share a cache entry.
-    std::ostringstream num;
-    num.precision(std::numeric_limits<double>::max_digits10);
+    ServeRequest request;
+    request.has_signature = true;
     for (std::size_t i = 0; i < config.requests; ++i) {
-        const std::string &network =
-            zoo[static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(zoo.size()) - 1))];
-        std::string line = "{\"id\": ";
-        json::appendJsonString(line, "q" + std::to_string(i));
-        line += ", \"network\": ";
-        json::appendJsonString(line, network);
-        line += ", \"signature\": [";
-        for (std::size_t k = 0; k < sig_width; ++k) {
-            num.str("");
-            num << rng.uniform(0.5, 50.0);
-            if (k)
-                line += ", ";
-            line += num.str();
-        }
-        line += "]" + priorityTag(i) + "}";
-        lines.push_back(std::move(line));
+        request.network = zoo[static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(zoo.size()) - 1))];
+        request.signature.clear();
+        for (std::size_t k = 0; k < sig_width; ++k)
+            request.signature.push_back(rng.uniform(0.5, 50.0));
+        emit(request, i);
     }
     return lines;
 }

@@ -73,46 +73,57 @@ tryParseRequest(const std::string &line, ServeRequest &out)
     return "";
 }
 
-ServeRequest
-parseRequestLine(const std::string &line)
+std::string
+renderRequest(const ServeRequest &request)
 {
-    ServeRequest request;
-    const std::string err = tryParseRequest(line, request);
-    if (!err.empty())
-        fatal("gcm-serve/v1: ", err);
-    return request;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject();
+    if (!request.id.empty())
+        w.field("id", request.id);
+    if (!request.network.empty())
+        w.field("network", request.network);
+    if (!request.graph_text.empty())
+        w.field("graph", request.graph_text);
+    if (!request.device.empty())
+        w.field("device", request.device);
+    if (request.has_signature)
+        w.key("signature").array(request.signature);
+    if (request.priority == Priority::Bulk)
+        w.field("priority", priorityName(request.priority));
+    w.endObject();
+    return out;
 }
 
 std::string
 renderResponse(const ServeResponse &response)
 {
-    std::string out = "{\"id\": ";
-    json::appendJsonString(out, response.id);
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("id", response.id).field("ok", response.ok);
     if (response.ok) {
-        out += ", \"ok\": true, \"latency_ms\": "
-               + json::formatNumber(response.latency_ms)
-               + ", \"model_version\": "
-               + std::to_string(response.model_version);
-    } else {
-        out += ", \"ok\": false, \"error\": {\"code\": \"";
-        out += serveErrorCodeName(response.error_code);
-        out += "\", \"message\": ";
-        json::appendJsonString(out, response.error_message);
-        if (response.error_code == ServeErrorCode::Overloaded) {
-            // Backpressure context: what the client is waiting behind
-            // and a nominal back-off before retrying.
-            out += ", \"queue_depth\": "
-                   + std::to_string(response.queue_depth)
-                   + ", \"retry_after_ms\": "
-                   + json::formatNumber(response.retry_after_ms);
-        }
-        out += "}";
+        w.field("latency_ms", response.latency_ms)
+            .field("model_version", response.model_version)
+            .endObject();
+        return out;
     }
+    const bool shed = response.error_code == ServeErrorCode::Overloaded;
+    w.key("error")
+        .beginObject()
+        .field("code", serveErrorCodeName(response.error_code))
+        .field("message", response.error_message);
+    if (shed) {
+        // Backpressure context: what the client is waiting behind
+        // and a nominal back-off before retrying.
+        w.field("queue_depth", response.queue_depth)
+            .field("retry_after_ms", response.retry_after_ms);
+    }
+    w.endObject();
     // Version gate: only shed responses carry `degraded`, so clients
     // predating the ladder keep seeing unchanged model answers.
-    if (!response.ok && response.error_code == ServeErrorCode::Overloaded)
-        out += ", \"degraded\": {\"tier\": \"shed\"}";
-    out += "}";
+    if (shed)
+        w.key("degraded").beginObject().field("tier", "shed").endObject();
+    w.endObject();
     return out;
 }
 

@@ -64,19 +64,19 @@ namespace gcm::serve
 inline constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
 
 /**
- * Parse one request line. Throws GcmError with a human-readable
- * message for any schema violation (the loop converts that into a
- * structured "bad_request" response).
- */
-ServeRequest parseRequestLine(const std::string &line);
-
-/**
- * Non-throwing variant for the serving loops: returns an empty string
- * on success, the error message otherwise. `out.id` is filled
- * whenever the line was valid JSON carrying a string id, so even
- * schema-violating requests get their id echoed back.
+ * Parse one request line into `out`. Returns an empty string on
+ * success, else the message of its "bad_request" response; never
+ * throws. `out.id` is filled whenever the line was valid JSON
+ * carrying a string id, so even schema-violating requests get their
+ * id echoed back.
  */
 std::string tryParseRequest(const std::string &line, ServeRequest &out);
+
+/**
+ * One request line (no newline) that tryParseRequest reads back;
+ * empty fields, an interactive priority and graph_ptr are left out.
+ */
+std::string renderRequest(const ServeRequest &request);
 
 /** Render a response as one JSON line (no trailing newline). */
 std::string renderResponse(const ServeResponse &response);

@@ -54,7 +54,9 @@ covarianceMatrix(const std::vector<std::vector<double>> &variables,
     return cov;
 }
 
-double
+// Cache-line aligned: when link order split its latency-bound inner
+// loop across two lines, MIS selection ran ~25% slower (4-vCPU Xeon).
+[[gnu::aligned(64)]] double
 choleskyLogDet(const SymmetricMatrix &a)
 {
     const std::size_t n = a.size();

@@ -75,14 +75,14 @@ parseCsv(const std::string &text)
     CsvDocument doc;
     std::istringstream iss(text);
     std::string line;
-    bool first = true;
     while (std::getline(iss, line)) {
         if (line.empty())
             continue;
         auto fields = parseCsvLine(line);
-        if (first) {
+        // A non-empty line has at least one field, so an empty header
+        // means this is the first line.
+        if (doc.header.empty()) {
             doc.header = std::move(fields);
-            first = false;
         } else {
             if (fields.size() != doc.header.size()) {
                 fatal("CSV row has ", fields.size(), " fields, expected ",

@@ -1,8 +1,8 @@
 #include "util/json.hh"
 
+#include <array>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/error.hh"
@@ -20,6 +20,15 @@ Value::at(const std::string &key) const
 
 namespace
 {
+
+/** Bytes that end a run of plain string content: '"', '\\', < 0x20. */
+constexpr auto kStringStop = [] {
+    std::array<bool, 256> stop{};
+    for (std::size_t c = 0; c < 0x20; ++c)
+        stop[c] = true;
+    stop['"'] = stop['\\'] = true;
+    return stop;
+}();
 
 class Parser
 {
@@ -150,16 +159,19 @@ class Parser
         Value v;
         v.kind = Value::Kind::String;
         for (;;) {
-            // Append the run up to the next quote or backslash in one
-            // go (an explicit scan: find_first_of measured slower).
+            // Append the run up to the next quote, backslash or raw
+            // control byte (which JSON forbids) in one go (an explicit
+            // scan: find_first_of measured slower).
             std::size_t stop = pos_;
-            while (stop < text_.size() && text_[stop] != '"'
-                   && text_[stop] != '\\')
+            while (stop < text_.size()
+                   && !kStringStop[static_cast<unsigned char>(text_[stop])])
                 ++stop;
             v.str.append(text_, pos_, stop - pos_);
             pos_ = stop;
             if (pos_ >= text_.size() || text_[pos_] == '"')
                 break;
+            if (text_[pos_] != '\\')
+                fail("raw control byte in string");
             ++pos_; // the backslash
             if (pos_ >= text_.size())
                 fail("unterminated escape");
@@ -265,38 +277,6 @@ Value
 parseJson(const std::string &text)
 {
     return Parser(text).parse();
-}
-
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out.push_back('"');
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    out.push_back('"');
-}
-
-std::string
-formatNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 } // namespace gcm::json

@@ -1,6 +1,8 @@
 /**
  * @file
- * Minimal JSON value model and hardened recursive-descent parser.
+ * Minimal JSON value model, hardened recursive-descent parser, and
+ * the one JSON writer every report, response and request line goes
+ * through.
  *
  * Grown out of the test-only parser behind the gcm-perf-report
  * checks, promoted into the library for the gcm-serve/v1 protocol
@@ -16,16 +18,26 @@
  *    are rejected instead of materializing as +inf (JSON itself has
  *    no NaN/Infinity literals, so this closes the only non-finite
  *    entry point);
+ *  - raw control bytes (0x00-0x1F) inside strings are rejected, as
+ *    JSON requires: they must arrive escaped;
  *  - duplicate object keys are rejected (the last-one-wins behaviour
  *    of lenient parsers silently drops data).
+ *
+ * The writer half is header-only, so gcm_obs (which links no other
+ * gcm library) writes its report with it too.
  */
 
 #ifndef GCM_UTIL_JSON_HH
 #define GCM_UTIL_JSON_HH
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gcm::json
@@ -68,14 +80,185 @@ struct Value
  */
 Value parseJson(const std::string &text);
 
-/** Append `s` to `os` as a quoted JSON string with escapes. */
-void appendJsonString(std::string &out, const std::string &s);
+/** Append `s` to `out` as a quoted JSON string with escapes. */
+inline void
+appendJsonString(std::string &out, std::string_view s)
+{
+    out.push_back('"');
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) >= 0x20) {
+                out.push_back(c);
+            } else {
+                out += "\\u00";
+                out.push_back("0123456789abcdef"[c >> 4]);
+                out.push_back("0123456789abcdef"[c & 0xf]);
+            }
+        }
+    }
+    out.push_back('"');
+}
 
 /**
- * `v` as a JSON number, printed "%.17g" so it parses back to the same
- * double. The caller keeps `v` finite (JSON has no NaN or Infinity).
+ * How a json::Writer container is laid out: Inline puts it all on one
+ * line; Block puts each member on its own line, indented two spaces
+ * per enclosing Block container, and the closing bracket on a line of
+ * its own. An empty container is `{}` or `[]` either way.
  */
-std::string formatNumber(double v);
+enum class Layout { Inline, Block };
+
+/**
+ * Appends one JSON document to `out` in place, with ", " between
+ * members and ": " after a key, and no trailing newline.
+ */
+class Writer
+{
+  public:
+    explicit Writer(std::string &out) : out_(out) {}
+
+    Writer &beginObject(Layout l = Layout::Inline) { return open('{', l); }
+    Writer &beginArray(Layout l = Layout::Inline) { return open('[', l); }
+    Writer &endObject() { return close('}'); }
+    Writer &endArray() { return close(']'); }
+
+    /** An object member's key; the next call writes its value. */
+    Writer &
+    key(std::string_view k)
+    {
+        value(k);
+        out_ += ": ";
+        after_key_ = true;
+        return *this;
+    }
+
+    Writer &
+    value(std::string_view s)
+    {
+        appendJsonString(separate(), s);
+        return *this;
+    }
+
+    Writer &value(const char *s) { return value(std::string_view(s)); }
+    Writer &value(bool b) { return put(b ? "true" : "false"); }
+
+    /** "%.17g" via to_chars (same bytes), or null if `v` is not finite. */
+    Writer &
+    value(double v)
+    {
+        if (!std::isfinite(v))
+            return put("null");
+        char buf[32];
+        const auto end = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general, 17);
+        return put({buf, end.ptr});
+    }
+
+    Writer &null() { return put("null"); }
+
+    template <std::integral T>
+    Writer &
+    value(T v)
+    {
+        char buf[24];
+        return put({buf, std::to_chars(buf, buf + sizeof(buf), v).ptr});
+    }
+
+    template <typename T>
+    Writer &
+    field(std::string_view k, const T &v)
+    {
+        return key(k).value(v);
+    }
+
+    /** An inline array holding value(v) for each v in `values`. */
+    template <typename Range>
+    Writer &
+    array(const Range &values)
+    {
+        beginArray();
+        for (const auto &v : values)
+            value(v);
+        return endArray();
+    }
+
+  private:
+    Writer &
+    put(std::string_view text)
+    {
+        separate() += text;
+        return *this;
+    }
+
+    /** Start a member: a comma, then a space or an indented newline. */
+    std::string &
+    separate()
+    {
+        if (!after_key_ && !blocks_.empty()) {
+            if (!empty_)
+                out_ += ',';
+            if (blocks_.back() != 0)
+                newline();
+            else if (!empty_)
+                out_ += ' ';
+        }
+        after_key_ = empty_ = false;
+        return out_;
+    }
+
+    Writer &
+    open(char bracket, Layout layout)
+    {
+        put({&bracket, 1});
+        blocks_ += layout == Layout::Block ? '\1' : '\0';
+        empty_ = true;
+        return *this;
+    }
+
+    Writer &
+    close(char bracket)
+    {
+        const bool block = blocks_.back() != 0;
+        blocks_.pop_back();
+        if (block && !empty_)
+            newline();
+        out_ += bracket;
+        empty_ = false;
+        return *this;
+    }
+
+    void
+    newline()
+    {
+        const auto depth = std::count(blocks_.begin(), blocks_.end(), '\1');
+        out_ += '\n';
+        out_.append(2 * static_cast<std::size_t>(depth), ' ');
+    }
+
+    std::string &out_;
+    /**
+     * Per open container, innermost last: '\1' for Block layout, else
+     * '\0' (a string, so nesting up to 15 deep allocates nothing).
+     */
+    std::string blocks_;
+    /** The innermost open container has no member yet. */
+    bool empty_ = false;
+    bool after_key_ = false;
+};
+
+/** `v` as a JSON number, exactly as Writer::value(double) writes it. */
+inline std::string
+formatNumber(double v)
+{
+    std::string out;
+    Writer(out).value(v);
+    return out;
+}
 
 } // namespace gcm::json
 

@@ -41,17 +41,11 @@ struct Batch
 };
 
 /**
- * Stable small id for pool-counter breakdowns ("chunks per thread").
- * Assigned on a thread's first drained batch, in first-use order.
+ * This thread's "chunks per thread" counter: pool worker i sets its
+ * own when it starts, and every thread outside the pool shares one,
+ * so the keys stay bounded by the pool size.
  */
-std::size_t
-obsThreadTag()
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t tag =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return tag;
-}
+thread_local std::string t_chunks_counter = "pool.thread.caller.chunks";
 
 /**
  * Claim and execute chunks until the batch is exhausted. Every chunk
@@ -89,9 +83,7 @@ drain(Batch &b)
     }
     if (b.obs_on && executed > 0) {
         obs::counterAdd("pool.chunks", executed);
-        obs::counterAdd("pool.thread." + std::to_string(obsThreadTag())
-                            + ".chunks",
-                        executed);
+        obs::counterAdd(t_chunks_counter, executed);
     }
 }
 
@@ -181,8 +173,13 @@ class Pool
             return;
         const std::size_t n = effectiveLocked();
         stop_ = false;
-        for (std::size_t i = 0; i + 1 < n; ++i)
-            workers_.emplace_back([this] { workerLoop(); });
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            workers_.emplace_back([this, i] {
+                t_chunks_counter =
+                    "pool.thread." + std::to_string(i) + ".chunks";
+                workerLoop();
+            });
+        }
     }
 
     void

@@ -263,11 +263,26 @@ TEST(GraphSerialize, IgnoresTrailingTokensAfterShape)
         g, graphFromText(reluGraph("0", "1,8,8,3", " extra tokens"))));
 }
 
-TEST(GraphSerialize, IgnoresContentAfterTheLastNode)
+TEST(GraphSerialize, RejectsContentAfterTheLastNode)
 {
+    // Trailing whitespace is fine; anything else after the last node
+    // means the count and the body disagree.
     const Graph g = graphFromText(reluGraph("0", "1,8,8,3"));
     EXPECT_TRUE(graphsEqual(
-        g, graphFromText(reluGraph("0", "1,8,8,3") + "not a node\n")));
+        g, graphFromText(reluGraph("0", "1,8,8,3") + "\n \t\r\n")));
+    EXPECT_EQ(rejection(reluGraph("0", "1,8,8,3") + "not a node\n"),
+              "deserializeGraph: content after the last of 2 nodes");
+
+    // A bit flip that lowers the count ('6' ^ 0x02 = '4') used to
+    // parse to the first 64 nodes of squeezenet.
+    const std::string text =
+        graphToText(buildZooModel("squeezenet_1.1"));
+    const std::size_t at = text.find("\nnodes 66\n");
+    ASSERT_NE(at, std::string::npos);
+    std::string lowered = text;
+    lowered[at + 8] = '4';
+    EXPECT_EQ(rejection(lowered),
+              "deserializeGraph: content after the last of 64 nodes");
 }
 
 TEST(GraphSerialize, InputListEdgeCases)

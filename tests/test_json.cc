@@ -2,11 +2,16 @@
  * @file
  * util/json string handling: every escape, the error cases and their
  * byte offsets, and long strings whose unescaped runs are appended in
- * bulk.
+ * bulk; and json::Writer's two layouts, escapes and number format.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "util/error.hh"
@@ -67,11 +72,22 @@ TEST(Json, UnterminatedStringFails)
               "json: unterminated string at offset 8");
 }
 
-TEST(Json, RawControlCharactersPassThrough)
+TEST(Json, RawControlCharactersAreRejected)
 {
-    // The parser does not reject raw control bytes inside strings.
-    EXPECT_EQ(stringOf(std::string("\"a\x01\tb\nc\"")),
-              std::string("a\x01\tb\nc"));
+    // JSON requires control bytes inside a string to be escaped; a
+    // raw one is an error at its own offset.
+    EXPECT_EQ(rejection(std::string("\"a\x01" "b\"")),
+              "json: raw control byte in string at offset 2");
+    EXPECT_EQ(rejection(std::string("\"ab\tc\"")),
+              "json: raw control byte in string at offset 3");
+    EXPECT_EQ(rejection(std::string("{\"k\": \"x\ny\"}")),
+              "json: raw control byte in string at offset 8");
+    EXPECT_EQ(rejection(std::string("\"\0\"", 3)),
+              "json: raw control byte in string at offset 1");
+    // Escaped, the same bytes decode; DEL and bytes >= 0x80 are not
+    // control characters.
+    EXPECT_EQ(stringOf(R"("a\u0001\tb\nc")"), std::string("a\x01\tb\nc"));
+    EXPECT_EQ(stringOf("\"\x7f\xff\""), std::string("\x7f\xff"));
 }
 
 TEST(Json, LongStringsMixRunsAndEscapes)
@@ -87,4 +103,168 @@ TEST(Json, LongStringsMixRunsAndEscapes)
     doc += "\\\"end\\\"\"";
     want += "\"end\"";
     EXPECT_EQ(stringOf(doc), want);
+}
+
+// ------------------------------------------------------------- writer
+
+TEST(Json, WriterInlineLayoutUsesTheProtocolSeparators)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("id", "r1")
+        .field("ok", true)
+        .field("n", 3)
+        .key("xs")
+        .beginArray()
+        .value(1)
+        .value(false)
+        .null()
+        .endArray()
+        .key("o")
+        .beginObject()
+        .field("k", "v")
+        .endObject()
+        .endObject();
+    EXPECT_EQ(out, R"({"id": "r1", "ok": true, "n": 3, "xs": [1, false, )"
+                   R"(null], "o": {"k": "v"}})");
+}
+
+TEST(Json, WriterBlockLayoutIndentsPerEnclosingBlock)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject(json::Layout::Block).field("a", 1).key("rows");
+    w.beginArray(json::Layout::Block);
+    w.beginObject().field("x", 1).endObject();
+    w.beginObject(json::Layout::Block).field("y", 2).endObject();
+    w.endArray();
+    w.key("inline").beginObject().key("kids").beginArray(json::Layout::Block);
+    w.value("deep").endArray().endObject();
+    w.endObject();
+    EXPECT_EQ(out, "{\n"
+                   "  \"a\": 1,\n"
+                   "  \"rows\": [\n"
+                   "    {\"x\": 1},\n"
+                   "    {\n"
+                   "      \"y\": 2\n"
+                   "    }\n"
+                   "  ],\n"
+                   // An inline container adds no indentation level.
+                   "  \"inline\": {\"kids\": [\n"
+                   "    \"deep\"\n"
+                   "  ]}\n"
+                   "}");
+}
+
+TEST(Json, WriterEmptyContainersAreBracketPairs)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject(json::Layout::Block)
+        .key("a")
+        .beginObject(json::Layout::Block)
+        .endObject()
+        .key("b")
+        .beginArray(json::Layout::Block)
+        .endArray()
+        .key("c")
+        .beginObject()
+        .endObject()
+        .key("d")
+        .beginArray()
+        .endArray()
+        .endObject();
+    EXPECT_EQ(out, "{\n  \"a\": {},\n  \"b\": [],\n  \"c\": {},\n"
+                   "  \"d\": []\n}");
+    std::string top;
+    json::Writer(top).beginArray(json::Layout::Block).endArray();
+    EXPECT_EQ(top, "[]");
+}
+
+TEST(Json, WriterEscapesKeysAndStrings)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject()
+        .field("q\"k", "a\\b\nc\td\re\x01\x1f\x7f\xe9")
+        .endObject();
+    EXPECT_EQ(out, R"({"q\"k": "a\\b\nc\td\re\u0001\u001f)"
+                   "\x7f\xe9\"}");
+    // Every byte the writer emits parses back to itself.
+    std::string all;
+    for (int c = 1; c < 256; ++c)
+        all.push_back(static_cast<char>(c));
+    all.push_back('\0');
+    std::string doc;
+    json::Writer(doc).value(all);
+    EXPECT_EQ(json::parseJson(doc).str, all);
+}
+
+TEST(Json, WriterIntegersAreExact)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginArray()
+        .value(std::uint64_t{18446744073709551615u})
+        .value(std::int64_t{-9223372036854775807 - 1})
+        .value(std::size_t{0})
+        .value(std::uint32_t{7})
+        .value(-3)
+        .endArray();
+    EXPECT_EQ(out,
+              "[18446744073709551615, -9223372036854775808, 0, 7, -3]");
+}
+
+TEST(Json, WriterDoublesArePrintedPercent17g)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginArray().value(0.1).value(40.0).value(-2.5e-300).value(1e21);
+    w.value(0.35).value(-0.0).endArray();
+    EXPECT_EQ(out, "[0.10000000000000001, 40, -2.5e-300, "
+                   "1e+21, 0.34999999999999998, -0]");
+    EXPECT_EQ(json::formatNumber(1.0 / 3.0), "0.33333333333333331");
+    // %.17g round-trips through the parser bit for bit.
+    for (const double v : {0.1, 1.0 / 3.0, 2.5e-300, 6.02214076e23}) {
+        EXPECT_EQ(json::parseJson(json::formatNumber(v)).number, v);
+    }
+}
+
+TEST(Json, WriterNumbersMatchPrintfOnRandomDoubles)
+{
+    // The writer formats with std::to_chars; every finite double must
+    // come out as printf's "%.17g" would print it.
+    std::uint64_t bits = 0x9e3779b97f4a7c15u;
+    for (int i = 0; i < 200000; ++i) {
+        bits ^= bits << 13;
+        bits ^= bits >> 7;
+        bits ^= bits << 17;
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (i % 2 == 1)
+            v = static_cast<double>(bits % 1000000007u) / 1024.0;
+        if (!std::isfinite(v))
+            continue;
+        char want[32];
+        std::snprintf(want, sizeof(want), "%.17g", v);
+        ASSERT_EQ(json::formatNumber(v), want) << "bits " << bits;
+    }
+}
+
+TEST(Json, WriterNonFiniteNumbersAreNull)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(json::formatNumber(inf), "null");
+    EXPECT_EQ(json::formatNumber(-inf), "null");
+    EXPECT_EQ(json::formatNumber(nan), "null");
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("a", inf).field("b", nan).field("c", 1.5);
+    w.endObject();
+    EXPECT_EQ(out, R"({"a": null, "b": null, "c": 1.5})");
+    const json::Value v = json::parseJson(out);
+    EXPECT_TRUE(v.at("a").isNull());
+    EXPECT_TRUE(v.at("b").isNull());
 }

@@ -4,7 +4,7 @@
  * the six built-in checks against a seeded-violation fixture under
  * tests/lint_fixtures/ (including suppression-comment and
  * allowlisted false-positive cases), registry semantics and the
- * gcm-lint/v1 JSON report. The live-tree zero-findings gate is a
+ * gcm-lint/v2 JSON report. The live-tree zero-findings gate is a
  * separate ctest entry (lint_tree) that runs the gcm-lint binary
  * over src/, tools/ and tests/.
  */
@@ -251,6 +251,18 @@ TEST(LintChecks, UnorderedIterFixture)
     EXPECT_EQ(r.suppressedCount(), 1u); // reviewedAndAllowed()
 }
 
+TEST(LintChecks, UnorderedIterIntoJsonWriterIsFlagged)
+{
+    // The file names no stream, CSV or JSON header; its json::Writer
+    // alone must mark it as writing output.
+    const LintReport r = runOnFixture("unordered_iter_writer.cc");
+    const auto errors = findingsAt(r, Severity::Error);
+    const std::set<std::pair<std::string, int>> expected = {
+        {"unordered-iter", 17},
+    };
+    EXPECT_EQ(errors, expected);
+}
+
 TEST(LintChecks, UnorderedIterQuietFileIsNoteOnly)
 {
     const LintReport r = runOnFixture("unordered_iter_quiet.cc");
@@ -466,7 +478,7 @@ TEST(LintReport, JsonRoundTripsThroughParser)
     const LintReport r = runOnFixture("determinism_bad.cc");
     const json::Value doc = json::parseJson(r.json());
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc.at("schema").str, "gcm-lint/v1");
+    EXPECT_EQ(doc.at("schema").str, "gcm-lint/v2");
     EXPECT_EQ(doc.at("files_scanned").number, 1.0);
     const json::Value &counts = doc.at("counts");
     EXPECT_EQ(counts.at("error").number,

@@ -10,8 +10,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "obs/obs.hh"
 #include "util/error.hh"
@@ -168,6 +170,33 @@ TEST_F(ObsTest, ParallelLoopsReportPoolCounters)
     EXPECT_EQ(per_thread, 64.0);
 }
 
+TEST_F(ObsTest, ThreadChunkCountersStayBoundedByThePool)
+{
+    // Fresh threads each submit a loop; they all count as "caller",
+    // so only the pool's 3 workers and the caller have keys.
+    setThreads(4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 16; ++t) {
+        threads.emplace_back(
+            [] { parallelFor(0, 64, 1, [](std::size_t) {}); });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    setThreads(1);
+    const auto r = parseJson(obs::reportJson());
+    std::size_t keys = 0;
+    double per_thread = 0.0;
+    for (const auto &[name, value] : r.at("counters").object) {
+        if (name.rfind("pool.thread.", 0) == 0) {
+            ++keys;
+            per_thread += value.number;
+        }
+    }
+    EXPECT_LE(keys, 4u);
+    EXPECT_TRUE(r.at("counters").has("pool.thread.caller.chunks"));
+    EXPECT_EQ(per_thread, 16.0 * 64.0);
+}
+
 TEST_F(ObsTest, ChunkSpansNestUnderSubmittingSpan)
 {
     setThreads(4);
@@ -191,6 +220,70 @@ TEST_F(ObsTest, JsonEscapesMetricNames)
     obs::counterAdd("weird \"name\"\n\\path");
     const auto r = parseJson(obs::reportJson());
     EXPECT_EQ(r.at("counters").at("weird \"name\"\n\\path").number, 1.0);
+}
+
+TEST_F(ObsTest, EmptyReportBytesArePinned)
+{
+    EXPECT_EQ(obs::reportJson(), "{\n"
+                                 "  \"schema\": \"gcm-perf-report/v1\",\n"
+                                 "  \"counters\": {},\n"
+                                 "  \"gauges\": {},\n"
+                                 "  \"histograms\": {},\n"
+                                 "  \"spans\": []\n"
+                                 "}\n");
+}
+
+TEST_F(ObsTest, ReportBytesArePinned)
+{
+    // Spans are opened and closed by hand with fixed durations, so
+    // every byte of the report is fixed; the literal is the report
+    // as the hand-written emitter printed it before json::Writer.
+    obs::counterAdd("serve.requests", 42);
+    obs::counterAdd("weird \"name\"\n\\path");
+    obs::gaugeSet("cache.hit_ratio", 0.1);
+    obs::gaugeSet("pool.threads", 4.0);
+    obs::histogramObserve("batch_ms", 0.5);
+    obs::histogramObserve("batch_ms", 2.25);
+    obs::histogramObserve("batch_ms", 20000.0);
+    void *outer = obs::detail::openSpan("outer");
+    void *a = obs::detail::openSpan("a");
+    obs::detail::closeSpan(obs::detail::openSpan("leaf"), 0.125);
+    obs::detail::closeSpan(a, 0.5);
+    obs::detail::closeSpan(obs::detail::openSpan("b"), 1.0 / 3.0);
+    obs::detail::closeSpan(outer, 2.0);
+    obs::detail::closeSpan(obs::detail::openSpan("other"), 1e-7);
+    const std::string want = R"({
+  "schema": "gcm-perf-report/v1",
+  "counters": {
+    "serve.requests": 42,
+    "weird \"name\"\n\\path": 1
+  },
+  "gauges": {
+    "cache.hit_ratio": 0.10000000000000001,
+    "pool.threads": 4
+  },
+  "histograms": {
+    "batch_ms": {"bounds_ms": [0.001, 0.01, 0.10000000000000001, 1, 10, 100, 1000, 10000], "counts": [0, 0, 0, 1, 1, 0, 0, 0, 1], "count": 3, "sum_ms": 20002.75}
+  },
+  "spans": [
+    {"name": "other", "count": 1, "total_ms": 9.9999999999999995e-08, "children": []},
+    {"name": "outer", "count": 1, "total_ms": 2, "children": [
+      {"name": "a", "count": 1, "total_ms": 0.5, "children": [
+        {"name": "leaf", "count": 1, "total_ms": 0.125, "children": []}
+      ]},
+      {"name": "b", "count": 1, "total_ms": 0.33333333333333331, "children": []}
+    ]}
+  ]
+}
+)";
+    EXPECT_EQ(obs::reportJson(), want);
+}
+
+TEST_F(ObsTest, NonFiniteGaugeIsWrittenAsNull)
+{
+    obs::gaugeSet("g", std::numeric_limits<double>::quiet_NaN());
+    const auto r = parseJson(obs::reportJson());
+    EXPECT_TRUE(r.at("gauges").at("g").isNull());
 }
 
 TEST_F(ObsTest, ReportHasSchemaTagAndAllSections)

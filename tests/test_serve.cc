@@ -784,6 +784,71 @@ TEST(Protocol, InlineGraphServesAndMatchesZooFingerprint)
     EXPECT_EQ(by_name[0].latency_ms, cold[0].latency_ms);
 }
 
+TEST(Protocol, RawControlByteInGraphIsBadRequest)
+{
+    serve::ServeRequest request;
+    request.id = "g";
+    request.graph_text = dnn::graphToText(
+        dnn::quantize(dnn::buildZooModel("mobilenet_v2_1.0")));
+    request.device = firstDeviceName();
+    const std::string line = serve::renderRequest(request);
+    const std::size_t at = line.find("gcm-graph v1");
+    ASSERT_NE(at, std::string::npos);
+
+    // An escaped tab is whitespace to the graph parser: served.
+    std::string escaped = line;
+    escaped.replace(at + 9, 1, "\\t");
+    EXPECT_NE(serveOneLine(escaped).find("\"ok\": true"),
+              std::string::npos);
+
+    // A raw tab is not JSON: rejected before the graph parser.
+    std::string raw = line;
+    raw[at + 9] = '\t';
+    const std::string response = serveOneLine(raw);
+    EXPECT_NE(response.find("bad_request"), std::string::npos) << response;
+    EXPECT_NE(response.find("raw control byte in string"), std::string::npos)
+        << response;
+}
+
+TEST(Protocol, RenderedRequestsParseBackFieldForField)
+{
+    serve::ServeRequest by_name =
+        networkRequest("q0", "mobilenet_v2_1.0", "Mi-9");
+    by_name.priority = serve::Priority::Bulk;
+    EXPECT_EQ(serve::renderRequest(by_name),
+              R"({"id": "q0", "network": "mobilenet_v2_1.0", )"
+              R"("device": "Mi-9", "priority": "bulk"})");
+
+    serve::ServeRequest raw;
+    raw.id = "s\"1";
+    raw.network = "mobilenet_v2_1.0";
+    raw.has_signature = true;
+    raw.signature = {0.1, 42.0, 1.0 / 3.0};
+    EXPECT_EQ(serve::renderRequest(raw),
+              R"({"id": "s\"1", "network": "mobilenet_v2_1.0", )"
+              R"("signature": [0.10000000000000001, 42, )"
+              R"(0.33333333333333331]})");
+
+    serve::ServeRequest graph;
+    graph.graph_text = "gcm-graph v1\nname t\n";
+    graph.device = "Mi-9";
+    EXPECT_EQ(serve::renderRequest(graph),
+              R"({"graph": "gcm-graph v1\nname t\n", "device": "Mi-9"})");
+
+    for (const serve::ServeRequest &want : {by_name, raw, graph}) {
+        serve::ServeRequest got;
+        ASSERT_EQ(serve::tryParseRequest(serve::renderRequest(want), got),
+                  "");
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.priority, want.priority);
+        EXPECT_EQ(got.network, want.network);
+        EXPECT_EQ(got.graph_text, want.graph_text);
+        EXPECT_EQ(got.device, want.device);
+        EXPECT_EQ(got.has_signature, want.has_signature);
+        EXPECT_EQ(got.signature, want.signature);
+    }
+}
+
 TEST(Protocol, ResponsesKeepRequestOrderAcrossParseFailures)
 {
     std::size_t consumed = 0;
@@ -869,7 +934,8 @@ TEST(Protocol, TiersShareOneRequestValidator)
     const auto table = testDeviceTable();
     serve::PredictionService service(testRegistry(), table, {});
     for (const auto &[line, code] : cases) {
-        const serve::ServeRequest request = serve::parseRequestLine(line);
+        serve::ServeRequest request;
+        ASSERT_EQ(serve::tryParseRequest(line, request), "") << line;
         const serve::ServeResponse full = service.processBatch({request})[0];
         EXPECT_FALSE(full.ok) << line;
         EXPECT_EQ(full.error_code, code) << line << ": " << full.error_message;
@@ -939,8 +1005,10 @@ TEST(Loadgen, GeneratedStreamsReplayThroughTheLoop)
     serve::ServerFrontEnd fe(testRegistry(), testDeviceTable(), {});
     const auto arrivals = serve::generateArrivals(fe, cfg);
     ASSERT_EQ(arrivals.size(), cfg.requests);
-    for (const auto &a : arrivals)
-        EXPECT_NO_THROW((void)serve::parseRequestLine(a.line)) << a.line;
+    for (const auto &a : arrivals) {
+        serve::ServeRequest request;
+        EXPECT_EQ(serve::tryParseRequest(a.line, request), "") << a.line;
+    }
     EXPECT_THROW((void)serve::parseLoadMix("bogus"), GcmError);
 }
 

@@ -514,6 +514,23 @@ cmdLoadgen(const Flags &flags)
     return 0;
 }
 
+/** Print a JSON report on stdout, or write it to --out and say so. */
+void
+emitReport(const Flags &flags, const std::string &report,
+           const char *schema)
+{
+    const std::string out_path = flagOr(flags, "out", "");
+    if (out_path.empty()) {
+        std::fputs(report.c_str(), stdout);
+        return;
+    }
+    std::ofstream fout(out_path);
+    if (!fout)
+        fatal("cannot open ", out_path, " for writing");
+    fout << report;
+    std::printf("%s report written to %s\n", schema, out_path.c_str());
+}
+
 int
 cmdSearch(const Flags &flags)
 {
@@ -547,17 +564,7 @@ cmdSearch(const Flags &flags)
     const search::SearchResult result = engine.run();
     const std::string report = search::renderSearchReport(cfg, result);
 
-    const std::string out_path = flagOr(flags, "out", "");
-    if (out_path.empty()) {
-        std::fputs(report.c_str(), stdout);
-    } else {
-        std::ofstream fout(out_path);
-        if (!fout)
-            fatal("cannot open ", out_path, " for writing");
-        fout << report;
-        std::printf("gcm-search/v1 report written to %s\n",
-                    out_path.c_str());
-    }
+    emitReport(flags, report, "gcm-search/v1");
     std::fprintf(stderr,
                  "search: %llu candidates evaluated, %llu rejected, "
                  "front size %zu, cache effective hit rate %.3f\n",
@@ -613,17 +620,7 @@ cmdFleet(const Flags &flags)
     const fleet::FleetResult result =
         fleet::runFleetLoop(cfg, &report);
 
-    const std::string out_path = flagOr(flags, "out", "");
-    if (out_path.empty()) {
-        std::fputs(report.c_str(), stdout);
-    } else {
-        std::ofstream fout(out_path);
-        if (!fout)
-            fatal("cannot open ", out_path, " for writing");
-        fout << report;
-        std::printf("gcm-fleet/v3 report written to %s\n",
-                    out_path.c_str());
-    }
+    emitReport(flags, report, "gcm-fleet/v3");
     std::fprintf(
         stderr,
         "fleet: %zu rounds, %zu publishes, %zu rollbacks, %zu "

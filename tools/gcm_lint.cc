@@ -5,7 +5,7 @@
  *   gcm-lint src tools tests            lint trees (recursively)
  *   gcm-lint src/ml/gbt.cc              lint individual files
  *   gcm-lint --checks a,b <paths...>    run a subset of checks
- *   gcm-lint --json report.json ...     also write a gcm-lint/v1
+ *   gcm-lint --json report.json ...     also write a gcm-lint/v2
  *                                       report ('-' for stdout)
  *   gcm-lint --quiet ...                summary line only
  *   gcm-lint --list-checks              show the registered checks
