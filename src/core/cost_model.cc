@@ -68,6 +68,12 @@ SignatureCostModel::train(const std::vector<dnn::Graph> &suite,
         }
         model.signature_ = config.pinned_signature;
     } else {
+        const std::size_t size = config.selection.size;
+        if (size < 1 || size >= suite.size()) {
+            fatal("SignatureCostModel: signature size ", size,
+                  " is outside [1, ", suite.size() - 1, "] for a ",
+                  suite.size(), "-network suite");
+        }
         model.signature_ =
             selectSignature(latencies, config.method, config.selection);
     }

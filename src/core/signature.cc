@@ -52,57 +52,37 @@ logLatencies(const std::vector<std::vector<double>> &net_latencies)
     return out;
 }
 
-std::vector<std::size_t>
-complementOf(const std::vector<bool> &chosen)
-{
-    std::vector<std::size_t> rest;
-    for (std::size_t i = 0; i < chosen.size(); ++i) {
-        if (!chosen[i])
-            rest.push_back(i);
-    }
-    return rest;
-}
-
-/** MIS with the Gaussian set-MI estimator: greedy argmax I(S; V\S). */
+/**
+ * MIS with the Gaussian set-MI estimator: greedy argmax I(S; V\S).
+ * Each gain is O(1) on the incremental state, so the scan runs inline;
+ * the strict `>` in index order sends ties to the lowest index.
+ */
 std::vector<std::size_t>
 misGaussian(const std::vector<std::vector<double>> &vars, std::size_t m,
             double ridge)
 {
     const std::size_t n = vars.size();
-    const stats::GaussianMiEstimator mi(vars, ridge);
-    std::vector<bool> chosen(n, false);
+    stats::GaussianMiSelection state(stats::GaussianMiEstimator(vars, ridge));
     std::vector<std::size_t> subset;
-    const double no_gain = -std::numeric_limits<double>::max();
     for (std::size_t step = 0; step < m; ++step) {
         const obs::TraceSpan scan_span("signature.scan");
         obs::counterAdd("signature.candidates", n);
-        // Each candidate's set-MI (two logdets) is evaluated as its
-        // own task against the shared const estimator; the argmax is
-        // reduced serially in candidate order, so ties resolve to the
-        // lowest index exactly as in the serial loop.
-        const auto gains =
-            parallelMap(n, 1, [&](std::size_t c) -> double {
-                if (chosen[c])
-                    return no_gain;
-                std::vector<std::size_t> s = subset;
-                s.push_back(c);
-                std::vector<bool> tmp = chosen;
-                tmp[c] = true;
-                const auto rest = complementOf(tmp);
-                if (rest.empty())
-                    return no_gain;
-                return mi.setMi(s, rest);
-            });
-        double best_gain = no_gain;
+        double best_gain = -std::numeric_limits<double>::max();
         std::size_t best = n;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (gains[c] > best_gain) {
-                best_gain = gains[c];
-                best = c;
+        // A candidate must leave R-c non-empty.
+        if (state.numRemaining() >= 2) {
+            for (std::size_t c = 0; c < n; ++c) {
+                if (state.isSelected(c))
+                    continue;
+                const double gain = state.gain(c);
+                if (gain > best_gain) {
+                    best_gain = gain;
+                    best = c;
+                }
             }
         }
         GCM_ASSERT(best < n, "misGaussian: no candidate found");
-        chosen[best] = true;
+        state.select(best);
         subset.push_back(best);
     }
     return subset;
@@ -141,26 +121,21 @@ misHistogram(const std::vector<std::vector<double>> &vars, std::size_t m,
     for (std::size_t step = 0; step < m; ++step) {
         const obs::TraceSpan scan_span("signature.scan");
         obs::counterAdd("signature.candidates", n);
-        // Marginal coverage gain per candidate, one task each, with a
-        // serial in-order argmax (ties to the lowest index, as in the
-        // serial loop).
-        const auto gains =
-            parallelMap(n, 16, [&](std::size_t c) -> double {
-                if (chosen[c])
-                    return -1.0;
-                double gain = 0.0;
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (chosen[j] || j == c)
-                        continue;
-                    gain += std::max(0.0, mi[c][j] - best_cover[j]);
-                }
-                return gain;
-            });
+        // Marginal coverage gain per candidate (O(n) each, so the
+        // scan runs inline); ties go to the lowest index.
         double best_gain = -1.0;
         std::size_t best = n;
         for (std::size_t c = 0; c < n; ++c) {
-            if (gains[c] > best_gain) {
-                best_gain = gains[c];
+            if (chosen[c])
+                continue;
+            double gain = 0.0;
+            for (std::size_t j = 0; j < n; ++j) {
+                if (chosen[j] || j == c)
+                    continue;
+                gain += std::max(0.0, mi[c][j] - best_cover[j]);
+            }
+            if (gain > best_gain) {
+                best_gain = gain;
                 best = c;
             }
         }
@@ -210,41 +185,26 @@ selectSccsSignature(const std::vector<std::vector<double>> &net_latencies,
         // >= gamma (self excluded). Ties — common when all pairs
         // correlate above gamma — go to the network with the largest
         // correlation mass, i.e. the most central representative.
-        // Candidate stats are independent tasks; the pick is reduced
-        // serially in index order with the same comparison chain, so
-        // the choice matches the serial loop exactly.
-        struct CandStat
-        {
-            bool live = false;
-            std::size_t count = 0;
-            double mass = 0.0;
-        };
-        const auto cand_stats =
-            parallelMap(n, 16, [&](std::size_t i) -> CandStat {
-                CandStat st;
-                if (removed[i])
-                    return st;
-                st.live = true;
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (j != i && !removed[j] && rho[i][j] >= gamma) {
-                        ++st.count;
-                        st.mass += rho[i][j];
-                    }
-                }
-                return st;
-            });
+        // The scan is O(n) per candidate, so it runs inline.
         std::size_t best = n;
         std::size_t best_count = 0;
         double best_mass = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!cand_stats[i].live)
+            if (removed[i])
                 continue;
-            if (best == n || cand_stats[i].count > best_count
-                || (cand_stats[i].count == best_count
-                    && cand_stats[i].mass > best_mass)) {
+            std::size_t count = 0;
+            double mass = 0.0;
+            for (std::size_t j = 0; j < n; ++j) {
+                if (j != i && !removed[j] && rho[i][j] >= gamma) {
+                    ++count;
+                    mass += rho[i][j];
+                }
+            }
+            if (best == n || count > best_count
+                || (count == best_count && mass > best_mass)) {
                 best = i;
-                best_count = cand_stats[i].count;
-                best_mass = cand_stats[i].mass;
+                best_count = count;
+                best_mass = mass;
             }
         }
         if (best == n) {

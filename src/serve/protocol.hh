@@ -22,7 +22,9 @@
  *
  * Error codes (ServeErrorCode): bad_request, unknown_network,
  * unsupported_network (more layers than the model's layout),
- * unknown_device, bad_graph, no_model, overloaded, internal.
+ * unknown_device, bad_graph, no_model, overloaded, internal, and
+ * model_error (the model predicted a non-positive or non-finite
+ * latency; such a value is never cached and never answered as ok).
  *
  * Shed responses carry backpressure context inside the error object —
  * the queue depth observed at rejection and a suggested back-off —

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -42,6 +43,7 @@ serveErrorCodeName(ServeErrorCode code)
       case ServeErrorCode::NoModel: return "no_model";
       case ServeErrorCode::Overloaded: return "overloaded";
       case ServeErrorCode::Internal: return "internal";
+      case ServeErrorCode::ModelError: return "model_error";
     }
     return "?";
 }
@@ -426,27 +428,45 @@ PredictionService::processBatch(const std::vector<ServeRequest> &requests,
 
     // Serial epilogue: publish results to the cache in slot order and
     // fill the remaining responses. Scaling by the anchor here keeps
-    // the arithmetic identical to predictMs (raw * anchor).
+    // the arithmetic identical to predictMs (raw * anchor). A latency
+    // that is not positive and finite is the model's fault: it is
+    // neither cached nor answered as ok.
+    const auto servable = [](double v) {
+        return v > 0.0 && std::isfinite(v);
+    };
     for (std::size_t j = 0; j < n_compute; ++j) {
-        if (errors_[j].empty())
-            cache_->put(compute[j].key, values_[j] * anchors_[j]);
+        const double v = values_[j] * anchors_[j];
+        if (errors_[j].empty() && servable(v))
+            cache_->put(compute[j].key, v);
     }
     std::uint64_t ok_count = 0;
+    std::uint64_t model_errors = 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (plan[i].state == State::Compute) {
             const std::size_t j = plan[i].compute_slot;
-            if (errors_[j].empty()) {
-                responses[i].ok = true;
-                responses[i].latency_ms = values_[j] * anchors_[j];
-                responses[i].model_version = active.version;
-            } else {
+            const double v = values_[j] * anchors_[j];
+            if (!errors_[j].empty()) {
                 responses[i] = ServeResponse::failure(
                     requests[i].id, ServeErrorCode::Internal,
                     "prediction failed: " + errors_[j]);
+            } else if (!servable(v)) {
+                char text[32];
+                std::snprintf(text, sizeof text, "%g", v);
+                responses[i] = ServeResponse::failure(
+                    requests[i].id, ServeErrorCode::ModelError,
+                    std::string("model predicted a latency of ") + text
+                        + " ms");
+                ++model_errors;
+            } else {
+                responses[i].ok = true;
+                responses[i].latency_ms = v;
+                responses[i].model_version = active.version;
             }
         }
         ok_count += responses[i].ok ? 1 : 0;
     }
+    if (model_errors > 0)
+        obs::counterAdd("serve.responses.model_error", model_errors);
     obs::counterAdd("serve.responses.ok", ok_count);
     obs::counterAdd("serve.responses.error",
                     requests.size() - ok_count);

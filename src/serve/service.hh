@@ -102,6 +102,8 @@ enum class ServeErrorCode
     NoModel,            // registry has no active servable snapshot
     Overloaded,         // class queue full: the front end's shed rung
     Internal,           // prediction failed after admission
+    ModelError,         // the model predicted a non-positive or
+                        // non-finite latency
 };
 
 const char *serveErrorCodeName(ServeErrorCode code);

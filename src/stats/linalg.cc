@@ -54,16 +54,20 @@ covarianceMatrix(const std::vector<std::vector<double>> &variables,
     return cov;
 }
 
-// Cache-line aligned: when link order split its latency-bound inner
-// loop across two lines, MIS selection ran ~25% slower (4-vCPU Xeon).
-[[gnu::aligned(64)]] double
-choleskyLogDet(const SymmetricMatrix &a)
+namespace
+{
+
+/**
+ * In-place lower Cholesky factor of `a` (row-major n*n, upper part
+ * zero); adds log(det(a)) to `log_det`. fatal() if `a` is not positive
+ * definite.
+ */
+std::vector<double>
+choleskyFactor(const SymmetricMatrix &a, double &log_det)
 {
     const std::size_t n = a.size();
     GCM_ASSERT(n > 0, "choleskyLogDet: empty matrix");
-    // In-place lower Cholesky on a working copy.
     std::vector<double> l(n * n, 0.0);
-    double log_det = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
         double d = a.at(j, j);
         for (std::size_t k = 0; k < j; ++k)
@@ -82,7 +86,47 @@ choleskyLogDet(const SymmetricMatrix &a)
             l[i * n + j] = s / ljj;
         }
     }
+    return l;
+}
+
+} // namespace
+
+double
+choleskyLogDet(const SymmetricMatrix &a)
+{
+    double log_det = 0.0;
+    choleskyFactor(a, log_det);
     return log_det;
+}
+
+CholeskyInverse
+choleskyInverse(const SymmetricMatrix &a)
+{
+    const std::size_t n = a.size();
+    CholeskyInverse out{SymmetricMatrix(n), 0.0};
+    const std::vector<double> l = choleskyFactor(a, out.log_det);
+    // W = L^-1 (lower triangular) by forward substitution, column by
+    // column; then A^-1 = W^T W.
+    std::vector<double> w(n * n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+        w[j * n + j] = 1.0 / l[j * n + j];
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double s = 0.0;
+            for (std::size_t k = j; k < i; ++k)
+                s -= l[i * n + k] * w[k * n + j];
+            w[i * n + j] = s / l[i * n + i];
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i; j < n; ++j) {
+            double s = 0.0;
+            for (std::size_t k = j; k < n; ++k)
+                s += w[k * n + i] * w[k * n + j];
+            out.inverse.at(i, j) = s;
+            out.inverse.at(j, i) = s;
+        }
+    }
+    return out;
 }
 
 } // namespace gcm::stats

@@ -1,8 +1,8 @@
 /**
  * @file
  * Small dense linear-algebra helpers: just enough for the Gaussian
- * mutual-information estimator (covariances, Cholesky log-determinant)
- * used by MIS signature-set selection.
+ * mutual-information estimator (covariances, Cholesky log-determinant
+ * and inverse) used by MIS signature-set selection.
  */
 
 #ifndef GCM_STATS_LINALG_HH
@@ -51,6 +51,21 @@ covarianceMatrix(const std::vector<std::vector<double>> &variables,
  * Throws GcmError if A is not positive definite.
  */
 double choleskyLogDet(const SymmetricMatrix &a);
+
+/** A^-1 and log(det(A)) of a symmetric positive-definite matrix. */
+struct CholeskyInverse
+{
+    SymmetricMatrix inverse;
+    double log_det;
+};
+
+/**
+ * Invert a symmetric positive-definite matrix through its Cholesky
+ * factor, whose pivots also give log(det(A)) exactly as
+ * choleskyLogDet() computes it. Throws GcmError if A is not positive
+ * definite.
+ */
+CholeskyInverse choleskyInverse(const SymmetricMatrix &a);
 
 } // namespace gcm::stats
 

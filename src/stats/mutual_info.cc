@@ -99,4 +99,59 @@ GaussianMiEstimator::setMi(const std::vector<std::size_t> &s,
     return std::max(0.5 * (ld_s + ld_r - ld_j), 0.0);
 }
 
+GaussianMiSelection::GaussianMiSelection(const GaussianMiEstimator &mi)
+    : cov_(mi.covariance()), prec_(0), selected_(cov_.size(), false),
+      remaining_(cov_.size()), cond_var_(cov_.size())
+{
+    auto inv = choleskyInverse(cov_);
+    prec_ = std::move(inv.inverse);
+    ld_v_ = inv.log_det;
+    ld_r_ = inv.log_det;
+    for (std::size_t c = 0; c < cov_.size(); ++c)
+        cond_var_[c] = cov_.at(c, c);
+}
+
+void
+GaussianMiSelection::select(std::size_t b)
+{
+    const std::size_t n = cov_.size();
+    GCM_ASSERT(b < n && !selected_[b], "GaussianMiSelection: bad pick");
+    const double v_b = cond_var_[b];
+    const double p_bb = prec_.at(b, b);
+    if (!(v_b > 0.0) || !(p_bb > 0.0)) {
+        fatal("GaussianMiSelection: covariance not positive definite "
+              "at pick ", b, " (v = ", v_b, ", P = ", p_bb, ")");
+    }
+    selected_[b] = true;
+    --remaining_;
+    ld_s_ += std::log(v_b);
+    ld_r_ += std::log(p_bb);
+
+    // S side: the new Cholesky column g of Sigma_S, then v_c -= g_c^2.
+    const double root = std::sqrt(v_b);
+    std::vector<double> col(n, 0.0);
+    col[b] = root;
+    for (std::size_t c = 0; c < n; ++c) {
+        if (selected_[c])
+            continue;
+        double s = cov_.at(c, b);
+        for (const auto &g : chol_cols_)
+            s -= g[c] * g[b];
+        col[c] = s / root;
+        cond_var_[c] -= col[c] * col[c];
+    }
+    chol_cols_.push_back(std::move(col));
+
+    // R side: Sigma_{R-b}^-1 = P - P_.b P_b. / P_bb on R-b.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (selected_[i])
+            continue;
+        const double f = prec_.at(i, b) / p_bb;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (!selected_[j])
+                prec_.at(i, j) -= f * prec_.at(b, j);
+        }
+    }
+}
+
 } // namespace gcm::stats

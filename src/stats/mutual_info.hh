@@ -19,6 +19,8 @@
 #ifndef GCM_STATS_MUTUAL_INFO_HH
 #define GCM_STATS_MUTUAL_INFO_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -72,6 +74,9 @@ class GaussianMiEstimator
 
     std::size_t numVariables() const { return cov_.size(); }
 
+    /** The ridge-regularized covariance the estimates are taken on. */
+    const SymmetricMatrix &covariance() const { return cov_; }
+
     /**
      * Estimate I(S; R) in nats.
      *
@@ -83,6 +88,63 @@ class GaussianMiEstimator
 
   private:
     SymmetricMatrix cov_;
+};
+
+/**
+ * State of one greedy maximization of I(S; V\S) under a
+ * GaussianMiEstimator, updated in place as picks move from R = V\S
+ * into S. Write ld(X) for logdet Sigma_X. By the Schur complement on
+ * each side,
+ *
+ *   I(S+c; R-c) = 1/2 [ld(S) + log v_c + ld(R) + log P_cc - ld(V)],
+ *
+ * with v_c = Sigma_cc - Sigma_cS Sigma_S^-1 Sigma_Sc (c's conditional
+ * variance given S) and P = Sigma_R^-1. ld(V) is one number: every
+ * joint set S+R is all of V in some order, and a symmetric permutation
+ * leaves the determinant unchanged. So gain() is O(1); select() costs
+ * one incremental-Cholesky column of Sigma_S (O(n * |S|)) and one
+ * rank-1 Schur downdate of P (O(|R|^2)); the constructor's one
+ * Cholesky inverse of Sigma is the only O(n^3) step. The gains equal
+ * setMi(S+c, R-c) up to rounding.
+ */
+class GaussianMiSelection
+{
+  public:
+    /** Start from S empty; keeps no reference to `mi`. */
+    explicit GaussianMiSelection(const GaussianMiEstimator &mi);
+
+    bool isSelected(std::size_t c) const { return selected_[c]; }
+
+    /** |R|, the number of variables not selected yet. */
+    std::size_t numRemaining() const { return remaining_; }
+
+    /**
+     * I(S+c; R-c) in nats, clamped at 0 as setMi() is. Requires c in
+     * R and |R| >= 2.
+     */
+    double gain(std::size_t c) const
+    {
+        return std::max(0.5 * (ld_s_ + std::log(cond_var_[c]) + ld_r_
+                               + std::log(prec_.at(c, c)) - ld_v_),
+                        0.0);
+    }
+
+    /** Move b from R into S. */
+    void select(std::size_t b);
+
+  private:
+    SymmetricMatrix cov_;
+    /** Sigma_R^-1, kept on R's rows and columns (others are stale). */
+    SymmetricMatrix prec_;
+    std::vector<bool> selected_;
+    std::size_t remaining_;
+    double ld_v_;
+    double ld_s_ = 0.0;
+    double ld_r_;
+    /** v_c, current for every c in R. */
+    std::vector<double> cond_var_;
+    /** Column k of Sigma_S's Cholesky factor, one per pick k. */
+    std::vector<std::vector<double>> chol_cols_;
 };
 
 } // namespace gcm::stats

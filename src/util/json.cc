@@ -237,20 +237,68 @@ class Parser
         return v;
     }
 
+    /** A byte that may occur in a number token. */
+    static bool
+    isNumberByte(char c)
+    {
+        return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.'
+            || c == 'e' || c == 'E';
+    }
+
+    /**
+     * Advance over the RFC 8259 number production
+     * -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+     * Returns false where a required part is missing.
+     */
+    bool
+    scanNumber()
+    {
+        const auto at = [&](char c) {
+            return pos_ < text_.size() && text_[pos_] == c;
+        };
+        const auto digits = [&] {
+            const std::size_t from = pos_;
+            while (pos_ < text_.size() && text_[pos_] >= '0'
+                   && text_[pos_] <= '9')
+                ++pos_;
+            return pos_ > from;
+        };
+        if (at('-'))
+            ++pos_;
+        if (at('0'))
+            ++pos_;
+        else if (!digits())
+            return false;
+        if (at('.')) {
+            ++pos_;
+            if (!digits())
+                return false;
+        }
+        if (at('e') || at('E')) {
+            ++pos_;
+            if (at('+') || at('-'))
+                ++pos_;
+            if (!digits())
+                return false;
+        }
+        return true;
+    }
+
     Value
     parseNumber()
     {
         skipWs();
         const std::size_t start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '-' || text_[pos_] == '+'
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E')) {
-            ++pos_;
+        if (!scanNumber()
+            || (pos_ < text_.size() && isNumberByte(text_[pos_]))) {
+            // Not the production: report the whole run of number bytes.
+            while (pos_ < text_.size() && isNumberByte(text_[pos_]))
+                ++pos_;
+            if (start == pos_)
+                fail("expected a number");
+            fail("malformed number '" + text_.substr(start, pos_ - start)
+                 + "'");
         }
-        if (start == pos_)
-            fail("expected a number");
         Value v;
         v.kind = Value::Kind::Number;
         const std::string token = text_.substr(start, pos_ - start);

@@ -230,6 +230,76 @@ TEST(CostModel, PinnedSignatureValidatesIndices)
         GcmError);
 }
 
+namespace
+{
+
+/** train() with `size` networks selected by `method`; must throw. */
+void
+expectSizeRejected(std::size_t size, SignatureMethod method)
+{
+    const auto &ctx = gcmtest::smallContext();
+    SignatureCostModel::Config cfg;
+    cfg.gbt.n_estimators = 5;
+    cfg.method = method;
+    cfg.selection.size = size;
+    try {
+        (void)SignatureCostModel::train(ctx.suite(), allLatencies(ctx),
+                                        cfg);
+        ADD_FAILURE() << "size " << size << " was accepted";
+    } catch (const GcmError &e) {
+        EXPECT_NE(std::string(e.what()).find("signature size"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+constexpr SignatureMethod kAllMethods[] = {
+    SignatureMethod::RandomSampling,
+    SignatureMethod::MutualInformation,
+    SignatureMethod::SpearmanCorrelation,
+};
+
+} // namespace
+
+TEST(CostModel, SignatureSizeZeroIsAnError)
+{
+    for (const auto method : kAllMethods)
+        expectSizeRejected(0, method);
+}
+
+TEST(CostModel, MisSignatureOfTheWholeSuiteIsAnError)
+{
+    expectSizeRejected(gcmtest::smallContext().suite().size(),
+                       SignatureMethod::MutualInformation);
+}
+
+TEST(CostModel, RsAndSccsSignatureOfTheWholeSuiteIsAnError)
+{
+    expectSizeRejected(gcmtest::smallContext().suite().size(),
+                       SignatureMethod::RandomSampling);
+    expectSizeRejected(gcmtest::smallContext().suite().size(),
+                       SignatureMethod::SpearmanCorrelation);
+}
+
+TEST(CostModel, SignatureLargerThanTheSuiteIsAnError)
+{
+    for (const auto method : kAllMethods)
+        expectSizeRejected(gcmtest::smallContext().suite().size() + 1,
+                           method);
+}
+
+TEST(CostModel, PinnedSignatureIgnoresTheSelectionSize)
+{
+    const auto &ctx = gcmtest::smallContext();
+    SignatureCostModel::Config cfg;
+    cfg.gbt.n_estimators = 5;
+    cfg.selection.size = 0;
+    cfg.pinned_signature = {3, 1};
+    const auto model =
+        SignatureCostModel::train(ctx.suite(), allLatencies(ctx), cfg);
+    EXPECT_EQ(model.signature(), cfg.pinned_signature);
+}
+
 TEST(CostModel, BlockedFitIsByteIdenticalToDenseFit)
 {
     // The paper suite (118 networks) on 40 devices: 4,320 training

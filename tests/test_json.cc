@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -70,6 +72,135 @@ TEST(Json, UnterminatedStringFails)
     EXPECT_EQ(rejection("\"abc"), "json: unterminated string at offset 4");
     EXPECT_EQ(rejection("{\"k\": \"v"),
               "json: unterminated string at offset 8");
+}
+
+namespace
+{
+
+/** parseJson's message for the one-element array [token]. */
+std::string
+numberRejection(const std::string &token)
+{
+    return rejection("[" + token + "]");
+}
+
+/** The message a token that is no RFC 8259 number gets. */
+std::string
+malformed(const std::string &token)
+{
+    return "json: malformed number '" + token + "' at offset "
+        + std::to_string(1 + token.size());
+}
+
+} // namespace
+
+TEST(Json, NumberWithLeadingPlusIsRejected)
+{
+    EXPECT_EQ(numberRejection("+3.1"), malformed("+3.1"));
+}
+
+TEST(Json, NumberWithoutIntegerPartIsRejected)
+{
+    EXPECT_EQ(numberRejection(".5"), malformed(".5"));
+}
+
+TEST(Json, NumberEndingInDotIsRejected)
+{
+    EXPECT_EQ(numberRejection("3."), malformed("3."));
+}
+
+TEST(Json, NumberWithLeadingZeroIsRejected)
+{
+    EXPECT_EQ(numberRejection("03"), malformed("03"));
+    EXPECT_EQ(numberRejection("-01.5"), malformed("-01.5"));
+}
+
+TEST(Json, NumberWithDotBeforeExponentIsRejected)
+{
+    EXPECT_EQ(numberRejection("1.e1"), malformed("1.e1"));
+}
+
+TEST(Json, BareMinusIsRejected)
+{
+    EXPECT_EQ(numberRejection("-"), malformed("-"));
+}
+
+TEST(Json, NumberWithEmptyExponentIsRejected)
+{
+    EXPECT_EQ(numberRejection("1e+"), malformed("1e+"));
+    EXPECT_EQ(numberRejection("1e"), malformed("1e"));
+}
+
+TEST(Json, RandomNumberTokensParseExactlyWhenTheGrammarMatches)
+{
+    // Tokens over the bytes a number run may hold: parseJson takes one
+    // exactly when it matches the RFC 8259 production (and is in
+    // range), and then reads the value strtod reads.
+    // The production as an automaton over byte classes
+    // 0, 1-9, -, +, ., e/E; states 2, 3, 5 and 8 accept.
+    constexpr int kNext[9][6] = {
+        {2, 3, 1, -1, -1, -1},   // start
+        {2, 3, -1, -1, -1, -1},  // after '-'
+        {-1, -1, -1, -1, 4, 6},  // leading 0
+        {3, 3, -1, -1, 4, 6},    // integer digits
+        {5, 5, -1, -1, -1, -1},  // after '.'
+        {5, 5, -1, -1, -1, 6},   // fraction digits
+        {8, 8, 7, 7, -1, -1},    // after e
+        {8, 8, -1, -1, -1, -1},  // after the exponent sign
+        {8, 8, -1, -1, -1, -1},  // exponent digits
+    };
+    const auto matchesGrammar = [&](const std::string &token) {
+        int state = 0;
+        for (const char c : token) {
+            int cls = 5; // e or E
+            if (c == '0')
+                cls = 0;
+            else if (c >= '1' && c <= '9')
+                cls = 1;
+            else if (c == '-')
+                cls = 2;
+            else if (c == '+')
+                cls = 3;
+            else if (c == '.')
+                cls = 4;
+            state = kNext[state][cls];
+            if (state < 0)
+                return false;
+        }
+        return state == 2 || state == 3 || state == 5 || state == 8;
+    };
+    const char alphabet[] = "0123456789-+.eE";
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+    const auto next = [&] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::size_t>(lcg >> 33);
+    };
+    std::size_t accepted = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::string token;
+        const std::size_t len = 1 + next() % 6;
+        for (std::size_t k = 0; k < len; ++k) {
+            // Digits drawn twice as often as the other bytes.
+            const std::size_t r = next() % 25;
+            token += r < 20 ? alphabet[r % 10] : alphabet[10 + r - 20];
+        }
+        const bool matches = matchesGrammar(token);
+        const std::string error = numberRejection(token);
+        if (!matches) {
+            EXPECT_EQ(error, malformed(token));
+            continue;
+        }
+        // Out-of-range magnitudes (errno ERANGE, both directions) are
+        // refused by the conversion, not the grammar.
+        errno = 0;
+        const double expected = std::strtod(token.c_str(), nullptr);
+        if (errno == ERANGE)
+            continue;
+        ASSERT_EQ(error, "") << token;
+        EXPECT_EQ(json::parseJson(token).number, expected) << token;
+        ++accepted;
+    }
+    EXPECT_GT(accepted, 1000u);
 }
 
 TEST(Json, RawControlCharactersAreRejected)

@@ -50,6 +50,38 @@ TEST(Linalg, NonPositiveDefiniteThrows)
     EXPECT_THROW(choleskyLogDet(m), GcmError);
 }
 
+TEST(Linalg, CholeskyInverseTimesMatrixIsIdentity)
+{
+    // [[4,2,0.6],[2,5,1],[0.6,1,3]] is symmetric positive definite.
+    SymmetricMatrix m(3);
+    const double v[3][3] = {{4, 2, 0.6}, {2, 5, 1}, {0.6, 1, 3}};
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j)
+            m.at(i, j) = v[i][j];
+    }
+    const auto inv = choleskyInverse(m);
+    EXPECT_EQ(inv.log_det, choleskyLogDet(m));
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            double s = 0.0;
+            for (std::size_t k = 0; k < 3; ++k)
+                s += m.at(i, k) * inv.inverse.at(k, j);
+            EXPECT_NEAR(s, i == j ? 1.0 : 0.0, 1e-12);
+            EXPECT_EQ(inv.inverse.at(i, j), inv.inverse.at(j, i));
+        }
+    }
+}
+
+TEST(Linalg, CholeskyInverseOfIndefiniteThrows)
+{
+    SymmetricMatrix m(2);
+    m.at(0, 0) = 1.0;
+    m.at(0, 1) = 2.0;
+    m.at(1, 0) = 2.0;
+    m.at(1, 1) = 1.0;
+    EXPECT_THROW(choleskyInverse(m), GcmError);
+}
+
 TEST(Linalg, CovarianceDiagonalIsVariance)
 {
     const std::vector<std::vector<double>> vars = {

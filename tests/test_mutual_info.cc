@@ -136,3 +136,55 @@ TEST(GaussianMi, NonNegative)
     const GaussianMiEstimator est(vars);
     EXPECT_GE(est.setMi({0, 1}, {2, 3, 4}), 0.0);
 }
+
+TEST(GaussianMiSelection, GainEqualsSetMiAtEveryStep)
+{
+    // 30 variables driven by 4 latent factors plus noise, 40 samples.
+    Rng rng(23);
+    const std::size_t n = 30, samples = 40;
+    std::vector<std::vector<double>> load(n, std::vector<double>(4));
+    for (auto &row : load) {
+        for (auto &w : row)
+            w = rng.normal();
+    }
+    std::vector<std::vector<double>> vars(n);
+    for (std::size_t k = 0; k < samples; ++k) {
+        double f[4];
+        for (double &x : f)
+            x = rng.normal();
+        for (std::size_t i = 0; i < n; ++i) {
+            double v = 0.5 * rng.normal();
+            for (std::size_t j = 0; j < 4; ++j)
+                v += load[i][j] * f[j];
+            vars[i].push_back(v);
+        }
+    }
+    const GaussianMiEstimator est(vars);
+    GaussianMiSelection state(est);
+    std::vector<std::size_t> s;
+    while (state.numRemaining() >= 2) {
+        std::size_t best = n;
+        double best_gain = -1.0;
+        for (std::size_t c = 0; c < n; ++c) {
+            if (state.isSelected(c))
+                continue;
+            std::vector<std::size_t> sc = s, rc;
+            sc.push_back(c);
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!state.isSelected(i) && i != c)
+                    rc.push_back(i);
+            }
+            const double expected = est.setMi(sc, rc);
+            const double gain = state.gain(c);
+            EXPECT_NEAR(gain, expected, 1e-9 * std::abs(expected))
+                << "step " << s.size() << ", candidate " << c;
+            if (gain > best_gain) {
+                best_gain = gain;
+                best = c;
+            }
+        }
+        state.select(best);
+        s.push_back(best);
+    }
+    EXPECT_EQ(s.size(), n - 1);
+}

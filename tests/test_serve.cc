@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -613,6 +615,68 @@ TEST(Service, RawSignatureRequestsServe)
     EXPECT_EQ(service.cache().stats().hits, 1u);
 }
 
+TEST(Service, NonPositivePredictionIsAModelError)
+{
+    // Edit the first leaf of the first tree to a large negative value,
+    // as a corrupted model file would carry it.
+    std::stringstream text;
+    testModel().serialize(text);
+    std::string model = text.str();
+    const std::size_t leaf = model.find("node -1 0 0 -1 -1 ");
+    ASSERT_NE(leaf, std::string::npos);
+    const std::size_t value = leaf + std::strlen("node -1 0 0 -1 -1 ");
+    model.replace(value, model.find('\n', value) - value, "-1000");
+    serve::ModelRegistry edited;
+    std::istringstream in(model);
+    edited.publish(serve::ModelSnapshot::fromStream(in));
+
+    // Every suite zoo network on every device, before and after.
+    const auto &ctx = gcmtest::smallContext();
+    const auto zoo = dnn::zooModelNames();
+    std::vector<serve::ServeRequest> batch;
+    for (const auto &net : ctx.networkNames()) {
+        if (std::find(zoo.begin(), zoo.end(), net) == zoo.end())
+            continue;
+        for (const auto &[device, sig] : testDeviceTable())
+            batch.push_back(networkRequest(net + "@" + device, net, device));
+    }
+    serve::PredictionService original(testRegistry(), testDeviceTable(),
+                                      {});
+    serve::PredictionService service(edited, testDeviceTable(), {});
+    const auto before = original.processBatch(batch);
+    obs::reset();
+    obs::setEnabled(true);
+    const auto after = service.processBatch(batch);
+    // Model errors are not cached: the second pass fails the same way.
+    const auto again = service.processBatch(batch);
+    const std::uint64_t counted =
+        obs::counterValue("serve.responses.model_error");
+    obs::setEnabled(false);
+    obs::reset();
+    std::size_t model_errors = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(before[i].ok) << before[i].error_message;
+        EXPECT_EQ(serve::renderResponse(again[i]),
+                  serve::renderResponse(after[i]));
+        if (after[i].ok) {
+            // Rows that miss the edited leaf predict what they did.
+            EXPECT_EQ(after[i].latency_ms, before[i].latency_ms);
+            continue;
+        }
+        ++model_errors;
+        EXPECT_EQ(after[i].error_code, serve::ServeErrorCode::ModelError);
+        const std::string line = serve::renderResponse(after[i]);
+        EXPECT_NE(line.find("\"code\": \"model_error\""),
+                  std::string::npos)
+            << line;
+        EXPECT_EQ(line.find("\"ok\": true"), std::string::npos) << line;
+    }
+    EXPECT_GT(model_errors, 0u);
+    EXPECT_EQ(counted, 2 * model_errors);
+    // The second pass hits on every ok key and on no failed one.
+    EXPECT_EQ(service.cache().stats().hits, batch.size() - model_errors);
+}
+
 TEST(Service, EmptyRegistryYieldsNoModel)
 {
     serve::ModelRegistry empty;
@@ -808,6 +872,32 @@ TEST(Protocol, RawControlByteInGraphIsBadRequest)
     EXPECT_NE(response.find("bad_request"), std::string::npos) << response;
     EXPECT_NE(response.find("raw control byte in string"), std::string::npos)
         << response;
+}
+
+TEST(Protocol, NonJsonNumbersInSignatureAreBadRequest)
+{
+    // A full-width signature of 3.1 ms entries is served; the same
+    // line with one entry spelled outside RFC 8259 is not.
+    const std::size_t width = testModel().signatureNames().size();
+    const auto lineWith = [&](const std::string &first) {
+        std::string line = "{\"id\": \"n\", \"network\": "
+                           "\"squeezenet_1.1\", \"signature\": ["
+            + first;
+        for (std::size_t k = 1; k < width; ++k)
+            line += ", 3.1";
+        return line + "]}";
+    };
+    EXPECT_NE(serveOneLine(lineWith("3.1")).find("\"ok\": true"),
+              std::string::npos);
+    for (const char *token : {"+3.1", ".5", "3.", "03", "1.e1"}) {
+        const std::string response = serveOneLine(lineWith(token));
+        EXPECT_NE(response.find("bad_request"), std::string::npos)
+            << token << ": " << response;
+        EXPECT_NE(response.find(std::string("malformed number '") + token
+                                + "'"),
+                  std::string::npos)
+            << response;
+    }
 }
 
 TEST(Protocol, RenderedRequestsParseBackFieldForField)

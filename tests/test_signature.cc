@@ -7,9 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
+#include "core/evaluation.hh"
+#include "core/experiment_context.hh"
 #include "core/signature.hh"
+#include "stats/kmeans.hh"
+#include "stats/mutual_info.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
 
@@ -183,4 +188,143 @@ TEST(Signature, NonPositiveLatencyAborts)
     std::vector<std::vector<double>> lat = {{1.0, 2.0}, {0.0, 3.0}};
     SignatureConfig cfg;
     EXPECT_DEATH((void)selectMisSignature(lat, 1, cfg), "non-positive");
+}
+
+// --- incremental Gaussian MIS against the per-candidate definition ------
+
+namespace
+{
+
+/**
+ * The greedy loop as first written: every step evaluates setMi(S+c,
+ * R-c) for every candidate c with three Cholesky log-determinants,
+ * and a strict `>` scan in index order keeps the lowest index on ties.
+ */
+std::vector<std::size_t>
+oracleMisGaussian(const std::vector<std::vector<double>> &net_latencies,
+                  std::size_t m, double ridge)
+{
+    std::vector<std::vector<double>> vars = net_latencies;
+    for (auto &row : vars) {
+        for (auto &v : row)
+            v = std::log(v);
+    }
+    const std::size_t n = vars.size();
+    const gcm::stats::GaussianMiEstimator mi(vars, ridge);
+    std::vector<bool> chosen(n, false);
+    std::vector<std::size_t> subset;
+    for (std::size_t step = 0; step < m; ++step) {
+        double best_gain = -std::numeric_limits<double>::max();
+        std::size_t best = n;
+        for (std::size_t c = 0; c < n; ++c) {
+            if (chosen[c])
+                continue;
+            std::vector<std::size_t> s = subset;
+            s.push_back(c);
+            std::vector<std::size_t> rest;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!chosen[i] && i != c)
+                    rest.push_back(i);
+            }
+            if (rest.empty())
+                continue;
+            const double gain = mi.setMi(s, rest);
+            if (gain > best_gain) {
+                best_gain = gain;
+                best = c;
+            }
+        }
+        if (best == n)
+            break;
+        chosen[best] = true;
+        subset.push_back(best);
+    }
+    return subset;
+}
+
+const ExperimentContext &
+paperContext()
+{
+    static const ExperimentContext ctx = ExperimentContext::build();
+    return ctx;
+}
+
+/**
+ * Greedy picks are prefix-stable, so one size-20 selection covers the
+ * Fig. 11 sizes 2-20 at once.
+ */
+void
+expectMisMatchesOracle(const std::vector<std::size_t> &train_devices)
+{
+    const auto lat = paperContext().latencyMatrix(train_devices);
+    SignatureConfig cfg;
+    cfg.size = 20;
+    const auto picks = selectMisSignature(lat, cfg.size, cfg);
+    EXPECT_EQ(picks, oracleMisGaussian(lat, cfg.size, cfg.mi_ridge));
+}
+
+void
+expectMisMatchesOracleOnPaperSplit(std::uint64_t seed)
+{
+    expectMisMatchesOracle(
+        splitDevices(paperContext().fleet().size(), 0.3, seed).train);
+}
+
+/** Table I: train on every device outside k-means cluster `held_out`. */
+void
+expectMisMatchesOracleOnClusterSplit(std::size_t held_out)
+{
+    const auto vectors = paperContext().deviceVectors();
+    const auto km = gcm::stats::kMeans(vectors, gcm::stats::KMeansConfig{});
+    std::vector<std::size_t> train;
+    for (std::size_t d = 0; d < vectors.size(); ++d) {
+        if (km.assignments[d] != held_out)
+            train.push_back(d);
+    }
+    ASSERT_LT(train.size(), vectors.size());
+    expectMisMatchesOracle(train);
+}
+
+} // namespace
+
+TEST(SignatureMisOracle, PaperSplitSeed1)
+{
+    expectMisMatchesOracleOnPaperSplit(1);
+}
+
+TEST(SignatureMisOracle, PaperSplitSeed2)
+{
+    expectMisMatchesOracleOnPaperSplit(2);
+}
+
+TEST(SignatureMisOracle, PaperSplitSeed3)
+{
+    expectMisMatchesOracleOnPaperSplit(3);
+}
+
+TEST(SignatureMisOracle, ClusterSplitHoldsOutCluster0)
+{
+    expectMisMatchesOracleOnClusterSplit(0);
+}
+
+TEST(SignatureMisOracle, ClusterSplitHoldsOutCluster1)
+{
+    expectMisMatchesOracleOnClusterSplit(1);
+}
+
+TEST(SignatureMisOracle, ClusterSplitHoldsOutCluster2)
+{
+    expectMisMatchesOracleOnClusterSplit(2);
+}
+
+TEST(SignatureMisOracle, SyntheticGroupsAtEverySize)
+{
+    // Runs to |R| = 1, where no candidate may be taken any more.
+    const auto lat = clusteredLatencies(5, 4, 30, 8);
+    SignatureConfig cfg;
+    for (std::size_t m = 1; m < lat.size(); ++m) {
+        EXPECT_EQ(selectMisSignature(lat, m, cfg),
+                  oracleMisGaussian(lat, m, cfg.mi_ridge))
+            << "size " << m;
+    }
 }
