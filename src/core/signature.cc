@@ -99,11 +99,12 @@ misHistogram(const std::vector<std::vector<double>> &vars, std::size_t m,
              std::size_t bins)
 {
     const std::size_t n = vars.size();
-    // Pairwise MI matrix. Each variable bins itself, then each row i
-    // fills its strict upper triangle and mirrors it: every matrix
-    // element is written by exactly one task.
+    // Pairwise MI matrix. Each variable bins itself (a sort of its
+    // samples), then each row i fills its strict upper triangle and
+    // mirrors it: every matrix element is written by exactly one task.
     std::vector<std::vector<std::size_t>> binned(n);
-    parallelFor(0, n, 8, [&](std::size_t i) {
+    parallelFor(0, n, grainFor(n == 0 ? 0 : vars[0].size()),
+                [&](std::size_t i) {
         binned[i] = stats::quantileBins(vars[i], bins);
     });
     std::vector<std::vector<double>> mi(n, std::vector<double>(n, 0.0));

@@ -113,9 +113,11 @@ FlatEnsemble::predictBatch(const float *rows, std::size_t n_rows,
     const std::uint32_t *left = left_.data();
     const bool mean = combine_ == Combine::Mean;
 
+    // A block's work is at least one node per tree per row.
     const std::size_t block = blockRows(stride);
     const std::size_t nblocks = (n_rows + block - 1) / block;
-    parallelFor(0, nblocks, 1, [&](std::size_t blk) {
+    parallelFor(0, nblocks, grainFor(block * roots_.size()),
+                [&](std::size_t blk) {
         const std::size_t lo = blk * block;
         const std::size_t hi = std::min(lo + block, n_rows);
         const std::size_t count = hi - lo;
@@ -174,7 +176,8 @@ FlatEnsemble::predictBatchSegmented(const SegmentedRow *rows,
     // shared between rows by design — so full-size blocks stay
     // cache-resident regardless of the logical row width.
     const std::size_t nblocks = (n_rows + kRowBlock - 1) / kRowBlock;
-    parallelFor(0, nblocks, 1, [&](std::size_t blk) {
+    parallelFor(0, nblocks, grainFor(kRowBlock * roots_.size()),
+                [&](std::size_t blk) {
         const std::size_t lo = blk * kRowBlock;
         const std::size_t hi = std::min(lo + kRowBlock, n_rows);
         const std::size_t count = hi - lo;

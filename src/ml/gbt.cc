@@ -96,14 +96,16 @@ GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
     // residual of the previous ones); the parallelism lives inside a
     // round — histogram/split search in trainTree and the elementwise
     // gradient/prediction sweeps below, all index-owned and therefore
-    // bit-identical at any thread count.
+    // bit-identical at any thread count. A sweep's work per row is one
+    // step for the gradient and one node per level for a tree walk.
+    const std::size_t walk_grain = grainFor(params_.max_depth);
     for (std::size_t t = 0; t < params_.n_estimators; ++t) {
         const obs::TraceSpan round_span("gbt.round");
         obs::counterAdd("gbt.rounds");
         {
             // Squared-error objective: g = pred - y (unit hessian).
             const obs::TraceSpan grad_span("gbt.gradient");
-            parallelFor(0, n, 4096, [&](std::size_t i) {
+            parallelFor(0, n, grainFor(1), [&](std::size_t i) {
                 grad[i] = static_cast<float>(preds[i] - labels[i]);
             });
         }
@@ -137,14 +139,15 @@ GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
 
         {
             const obs::TraceSpan update_span("gbt.update");
-            parallelFor(0, n, 1024, [&](std::size_t i) {
+            parallelFor(0, n, walk_grain, [&](std::size_t i) {
                 preds[i] += tree.predictBinnedRow(binned, i);
             });
         }
 
         if (eval) {
             const obs::TraceSpan eval_span("gbt.eval");
-            parallelFor(0, eval->numRows(), 1024, [&](std::size_t i) {
+            parallelFor(0, eval->numRows(), walk_grain,
+                        [&](std::size_t i) {
                 eval_preds[i] += tree.predictRow(eval->row(i));
             });
             evalHistory_.push_back(rmse(eval->labels(), eval_preds));

@@ -237,21 +237,15 @@ struct Builder
         const auto &active = binned.activeFeatures();
         std::vector<KeySum> sums;
         for (const BinnedMatrix::Block &block : binned.blocks()) {
-            const std::size_t features = block.activeEnd - block.activeBegin;
-            if (features == 0)
+            if (block.activeEnd == block.activeBegin)
                 continue;
             collapse(block, rows, sums);
             // Each feature owns a disjoint [offsets[a], offsets[a+1])
             // region of the histogram and adds the entries in order,
             // so the accumulation is bit-identical at any thread
-            // count. Small nodes run as one inline chunk to skip pool
-            // overhead.
-            const std::size_t grain =
-                sums.size() * features < 1u << 15
-                    ? features
-                    : std::max<std::size_t>(1, features / 32);
-            parallelFor(block.activeBegin, block.activeEnd, grain,
-                        [&](std::size_t a) {
+            // count. A feature's work is one add per key sum.
+            parallelFor(block.activeBegin, block.activeEnd,
+                        grainFor(sums.size()), [&](std::size_t a) {
                 const std::uint8_t *codes = binned.keyCodes(active[a]);
                 double *hg = hist.g.data() + offsets[a];
                 std::uint32_t *hn = hist.n.data() + offsets[a];
@@ -300,8 +294,10 @@ struct Builder
         // per-candidate winners with the same `>` in the same order
         // reproduces its result (ties keep the earlier feature)
         // bit-for-bit at any thread count.
+        // A candidate's work is its bins: totalBins over the active
+        // features on average.
         const std::size_t grain =
-            n_cand * totalBins < 1u << 15 ? n_cand : 1;
+            grainFor(totalBins / std::max<std::size_t>(1, active.size()));
         const auto cand = parallelMap(
             n_cand, grain, [&](std::size_t c) -> BestSplit {
                 const std::size_t a =

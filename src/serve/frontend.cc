@@ -277,6 +277,8 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     // ------------------------------------------------------------------
     std::vector<std::exception_ptr> failures(workers_);
     const auto work = [&](std::size_t w) noexcept {
+        // Serving's one parallel layer: processBatch's loops run inline.
+        const ParallelRegionGuard region;
         try {
             PredictionService &svc = *services_[w];
             std::vector<ServeRequest> reqs;

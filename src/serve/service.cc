@@ -387,7 +387,8 @@ PredictionService::processBatch(const std::vector<ServeRequest> &requests,
     errors_.assign(n_compute, std::string());
     if (fallback_.size() < head_w + sig_w)
         fallback_.assign(head_w + sig_w, 0.0f);
-    parallelFor(0, n_encode, 1, [&](std::size_t s) {
+    // Work per index: an encoding writes head_w floats, a tail sig_w.
+    parallelFor(0, n_encode, grainFor(head_w), [&](std::size_t s) {
         std::vector<float> *enc = inline_enc_.data();
         std::string *error = enc_errors_.data();
         try {
@@ -396,7 +397,7 @@ PredictionService::processBatch(const std::vector<ServeRequest> &requests,
             error[s] = e.what();
         }
     });
-    parallelFor(0, n_compute, 1, [&](std::size_t j) {
+    parallelFor(0, n_compute, grainFor(sig_w), [&](std::size_t j) {
         float *tail = tails_.data() + j * sig_w;
         double *anchor = anchors_.data();
         std::string *error = errors_.data();

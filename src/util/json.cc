@@ -3,7 +3,7 @@
 #include <array>
 #include <cctype>
 #include <cmath>
-#include <stdexcept>
+#include <cstdlib>
 
 #include "util/error.hh"
 
@@ -302,13 +302,12 @@ class Parser
         Value v;
         v.kind = Value::Kind::Number;
         const std::string token = text_.substr(start, pos_ - start);
-        std::size_t used = 0;
-        try {
-            v.number = std::stod(token, &used);
-        } catch (const std::exception &) {
-            fail("malformed number '" + token + "'");
-        }
-        if (used != token.size())
+        // strtod, unlike stod, returns a value on ERANGE: +-HUGE_VAL on
+        // overflow (refused below) and 0 or a subnormal on underflow,
+        // which is the nearest double and accepted.
+        char *end = nullptr;
+        v.number = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
             fail("malformed number '" + token + "'");
         if (!std::isfinite(v.number))
             fail("non-finite number '" + token + "'");

@@ -47,10 +47,17 @@ struct Batch
  */
 thread_local std::string t_chunks_counter = "pool.thread.caller.chunks";
 
+/** Whether this thread is in a parallel region (the nesting rule). */
+thread_local bool t_in_region = false;
+
 /**
  * Claim and execute chunks until the batch is exhausted. Every chunk
- * index is claimed by exactly one thread and counted exactly once, so
- * completed == nchunks holds iff all work finished.
+ * index is claimed by exactly one thread, so completed == nchunks
+ * holds iff all work finished. A thread adds its chunks to `completed`
+ * once, under the lock, after its last claim and after publishing its
+ * obs counters: no chunk takes a lock, and a caller that sees the batch
+ * done also sees every chunk counted. The thread is in a parallel
+ * region meanwhile, so loops the chunks start run inline.
  */
 void
 drain(Batch &b)
@@ -60,12 +67,15 @@ drain(Batch &b)
     // registry once per drained batch, keeping the hot loop free of
     // shared-state writes (and the TSan lane clean).
     obs::SpanParentScope obs_scope(b.obs_on ? b.obs_parent : nullptr);
+    const ParallelRegionGuard region;
+    std::size_t claimed = 0;
     std::size_t executed = 0;
     for (;;) {
         const std::size_t c =
             b.next.fetch_add(1, std::memory_order_relaxed);
         if (c >= b.nchunks)
             break;
+        ++claimed;
         if (!b.failed.load(std::memory_order_relaxed)) {
             try {
                 (*b.chunk)(c);
@@ -77,13 +87,16 @@ drain(Batch &b)
                 b.failed.store(true, std::memory_order_relaxed);
             }
         }
-        std::lock_guard<std::mutex> lock(b.m);
-        if (++b.completed == b.nchunks)
-            b.all_done.notify_all();
     }
     if (b.obs_on && executed > 0) {
         obs::counterAdd("pool.chunks", executed);
         obs::counterAdd(t_chunks_counter, executed);
+    }
+    if (claimed > 0) {
+        std::lock_guard<std::mutex> lock(b.m);
+        b.completed += claimed;
+        if (b.completed == b.nchunks)
+            b.all_done.notify_all();
     }
 }
 
@@ -245,8 +258,27 @@ setThreads(std::size_t n)
     Pool::instance().configure(n);
 }
 
+ParallelRegionGuard::ParallelRegionGuard() : saved_(t_in_region)
+{
+    t_in_region = true;
+}
+
+ParallelRegionGuard::~ParallelRegionGuard()
+{
+    t_in_region = saved_;
+}
+
 namespace detail
 {
+
+bool
+nestedLoopRunsInline()
+{
+    if (!t_in_region)
+        return false;
+    GCM_OBS_GUARDED(obs::counterAdd("pool.nested_inline"));
+    return true;
+}
 
 void
 runBatch(std::size_t nchunks,

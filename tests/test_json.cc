@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -92,7 +91,33 @@ malformed(const std::string &token)
         + std::to_string(1 + token.size());
 }
 
+/** The message a grammatical number beyond double range gets. */
+std::string
+nonFinite(const std::string &token)
+{
+    return "json: non-finite number '" + token + "' at offset "
+        + std::to_string(1 + token.size());
+}
+
 } // namespace
+
+TEST(Json, OverflowingNumberIsNonFinite)
+{
+    EXPECT_EQ(numberRejection("1e999"), nonFinite("1e999"));
+    EXPECT_EQ(numberRejection("-1e999"), nonFinite("-1e999"));
+    EXPECT_EQ(numberRejection("2e308"), nonFinite("2e308"));
+}
+
+TEST(Json, UnderflowingNumberParsesToTheNearestDouble)
+{
+    EXPECT_EQ(json::parseJson("1e-400").number, 0.0);
+    EXPECT_EQ(json::parseJson("-1e-400").number, -0.0);
+    EXPECT_TRUE(std::signbit(json::parseJson("-1e-400").number));
+    // Subnormal: strtod's value, which is not zero.
+    const double tiny = json::parseJson("4e-320").number;
+    EXPECT_EQ(tiny, std::strtod("4e-320", nullptr));
+    EXPECT_GT(tiny, 0.0);
+}
 
 TEST(Json, NumberWithLeadingPlusIsRejected)
 {
@@ -134,8 +159,8 @@ TEST(Json, NumberWithEmptyExponentIsRejected)
 TEST(Json, RandomNumberTokensParseExactlyWhenTheGrammarMatches)
 {
     // Tokens over the bytes a number run may hold: parseJson takes one
-    // exactly when it matches the RFC 8259 production (and is in
-    // range), and then reads the value strtod reads.
+    // exactly when it matches the RFC 8259 production (and does not
+    // overflow), and then reads the value strtod reads.
     // The production as an automaton over byte classes
     // 0, 1-9, -, +, ., e/E; states 2, 3, 5 and 8 accept.
     constexpr int kNext[9][6] = {
@@ -190,12 +215,13 @@ TEST(Json, RandomNumberTokensParseExactlyWhenTheGrammarMatches)
             EXPECT_EQ(error, malformed(token));
             continue;
         }
-        // Out-of-range magnitudes (errno ERANGE, both directions) are
-        // refused by the conversion, not the grammar.
-        errno = 0;
+        // Out of double range (errno ERANGE): overflow is refused as
+        // non-finite, underflow reads strtod's 0 or subnormal.
         const double expected = std::strtod(token.c_str(), nullptr);
-        if (errno == ERANGE)
+        if (std::isinf(expected)) {
+            EXPECT_EQ(error, nonFinite(token));
             continue;
+        }
         ASSERT_EQ(error, "") << token;
         EXPECT_EQ(json::parseJson(token).number, expected) << token;
         ++accepted;

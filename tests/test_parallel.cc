@@ -12,10 +12,12 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cost_model.hh"
 #include "core/cross_validation.hh"
 #include "core/evaluation.hh"
 #include "core/signature.hh"
@@ -23,6 +25,7 @@
 #include "dnn/zoo.hh"
 #include "ml/gbt.hh"
 #include "ml/random_forest.hh"
+#include "obs/obs.hh"
 #include "sim/campaign.hh"
 #include "sim/device.hh"
 #include "util/error.hh"
@@ -38,6 +41,21 @@ using namespace gcm;
 
 /** Thread counts every determinism test sweeps. */
 const std::vector<std::size_t> kThreadCounts{1, 2, 8};
+
+/** Observability on and empty for the scope, then off and empty. */
+struct ObsScope
+{
+    ObsScope()
+    {
+        obs::setEnabled(true);
+        obs::reset();
+    }
+    ~ObsScope()
+    {
+        obs::reset();
+        obs::setEnabled(false);
+    }
+};
 
 /** Run fn() under each thread count and return the results. */
 template <typename Fn>
@@ -181,6 +199,94 @@ TEST(Parallel, NestedLoopsDoNotDeadlock)
     });
     for (std::size_t outer = 0; outer < sums.size(); ++outer)
         EXPECT_EQ(sums[outer], outer * 100000 + 4950);
+    setThreads(1);
+}
+
+TEST(Parallel, LoopInsideAChunkRunsInlineOnItsThread)
+{
+    setThreads(4);
+    const ObsScope obs_scope;
+    // Each chunk returns its thread and the threads its nested loop's
+    // indices ran on; only chunk 0 nests, so one nested loop starts.
+    const auto runs = parallelMap(4, 1, [](std::size_t outer) {
+        std::vector<std::thread::id> nested(outer == 0 ? 64 : 0);
+        parallelFor(0, nested.size(), 1, [&](std::size_t i) {
+            nested[i] = std::this_thread::get_id();
+        });
+        return std::make_pair(std::this_thread::get_id(), nested);
+    });
+    ASSERT_EQ(runs[0].second.size(), 64u);
+    for (const std::thread::id id : runs[0].second)
+        ASSERT_EQ(id, runs[0].first);
+    // The outer loop's 4 chunks; the nested loop added none.
+    EXPECT_EQ(obs::counterValue("pool.chunks"), 4u);
+    EXPECT_EQ(obs::counterValue("pool.batches"), 1u);
+    EXPECT_EQ(obs::counterValue("pool.nested_inline"), 1u);
+    setThreads(1);
+}
+
+TEST(Parallel, RegionGuardMakesLoopsOnAPlainThreadRunInline)
+{
+    setThreads(4);
+    const ObsScope obs_scope;
+    bool all_inline = true;
+    std::thread worker([&] {
+        const ParallelRegionGuard region;
+        const std::thread::id self = std::this_thread::get_id();
+        std::vector<std::thread::id> ran_on(64);
+        parallelFor(0, ran_on.size(), 1, [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+        });
+        for (const std::thread::id id : ran_on)
+            all_inline = all_inline && id == self;
+    });
+    worker.join();
+    EXPECT_TRUE(all_inline);
+    EXPECT_EQ(obs::counterValue("pool.chunks"), 0u);
+    EXPECT_EQ(obs::counterValue("pool.nested_inline"), 1u);
+    // Out of the guard's scope the thread uses the pool again.
+    parallelFor(0, 64, 1, [](std::size_t) {});
+    EXPECT_EQ(obs::counterValue("pool.chunks"), 64u);
+    setThreads(1);
+}
+
+TEST(Parallel, GrainForEdgeCases)
+{
+    static_assert(grainFor(0) == kChunkWork);
+    static_assert(grainFor(1) == kChunkWork);
+    static_assert(grainFor(kChunkWork) == 1);
+    static_assert(grainFor(kChunkWork + 1) == 1);
+    static_assert(grainFor(10 * kChunkWork) == 1);
+    static_assert(grainFor(kChunkWork / 8) == 8);
+    static_assert(grainFor(3) == kChunkWork / 3);
+    EXPECT_GE(kChunkWork, std::size_t{1} << 15);
+    EXPECT_LE(kChunkWork, std::size_t{1} << 16);
+}
+
+TEST(Parallel, PaperFitStaysUnderTheChunkBudget)
+{
+    // Chunk boundaries depend only on (range, grain) and every chunk
+    // runs exactly once, so the count is exact at any scheduling. The
+    // fit's histograms do reach the pool, and its bytes match the
+    // 1-thread fit's.
+    const auto ctx = core::ExperimentContext::build();
+    const auto latencies = ctx.latencyMatrix(
+        core::splitDevices(ctx.fleet().size(), 0.3, 1).train);
+    const auto fit = [&] {
+        std::ostringstream os;
+        core::SignatureCostModel::train(ctx.suite(), latencies,
+                                        core::SignatureCostModel::Config{})
+            .serialize(os);
+        return os.str();
+    };
+    setThreads(1);
+    const std::string serial = fit();
+    setThreads(4);
+    const ObsScope obs_scope;
+    EXPECT_EQ(fit(), serial);
+    const std::uint64_t chunks = obs::counterValue("pool.chunks");
+    EXPECT_GT(chunks, 0u);
+    EXPECT_LT(chunks, 20000u);
     setThreads(1);
 }
 

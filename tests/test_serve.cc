@@ -771,6 +771,16 @@ TEST(Protocol, RejectsNonFiniteNumbers)
         EXPECT_NE(response.find("bad_request"), std::string::npos)
             << line;
     }
+    EXPECT_NE(serveOneLine("{\"id\": \"x\", \"network\": \"a\", "
+                           "\"signature\": [1e999]}")
+                  .find("non-finite number '1e999'"),
+              std::string::npos);
+    // An underflowing latency parses (to 0) and fails validation.
+    const std::string tiny = serveOneLine(
+        "{\"id\": \"x\", \"network\": \"mobilenet_v2_1.0\", "
+        "\"signature\": [1e-400, 1, 1, 1, 1, 1, 1, 1, 1, 1]}");
+    EXPECT_NE(tiny.find("finite and positive"), std::string::npos)
+        << tiny;
     // Zero and negative latencies parse but fail validation.
     const std::string zero = serveOneLine(
         "{\"id\": \"x\", \"network\": \"mobilenet_v2_1.0\", "

@@ -53,11 +53,11 @@ using namespace gcm;
 namespace
 {
 
-/** Parsed --key value flags, plus the keys a command has read. */
+/** Parsed --key value flags, plus the set the command accepts. */
 struct Flags
 {
     std::map<std::string, std::string> values;
-    mutable std::set<std::string> read;
+    const std::set<std::string> *accepted = nullptr;
 };
 
 /** Minimal --key value parser; bare flags get "1". */
@@ -83,19 +83,10 @@ std::string
 flagOr(const Flags &flags, const std::string &key,
        const std::string &fallback)
 {
-    flags.read.insert(key);
+    GCM_ASSERT(flags.accepted->count(key) > 0,
+               "a command reads a flag its accepted set lacks");
     const auto it = flags.values.find(key);
     return it == flags.values.end() ? fallback : it->second;
-}
-
-/** A flag no command read is a typo or a removed option: say so. */
-void
-rejectUnreadFlags(const Flags &flags)
-{
-    for (const auto &[key, value] : flags.values) {
-        if (flags.read.count(key) == 0)
-            fatal("unknown flag --", key, " for this command");
-    }
 }
 
 int
@@ -635,7 +626,7 @@ cmdFleet(const Flags &flags)
 }
 
 int
-cmdListNetworks()
+cmdListNetworks(const Flags &)
 {
     const auto ctx = core::ExperimentContext::build();
     for (const auto &name : ctx.networkNames())
@@ -644,7 +635,7 @@ cmdListNetworks()
 }
 
 int
-cmdListDevices()
+cmdListDevices(const Flags &)
 {
     const auto fleet = sim::DeviceDatabase::standard();
     for (const auto &d : fleet.devices()) {
@@ -654,6 +645,58 @@ cmdListDevices()
                     fleet.coreOf(d).name.c_str(), d.freq_ghz, d.ram_gb);
     }
     return 0;
+}
+
+/** A command and every flag it accepts (the global two included). */
+struct Command
+{
+    const char *name;
+    int (*run)(const Flags &);
+    std::set<std::string> flags;
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    static const std::vector<Command> kCommands = [] {
+        std::vector<Command> commands{
+            {"dataset", cmdDataset,
+             {"out", "faults", "fault-seed", "aggregator"}},
+            {"train", cmdTrain, {"data", "out", "method", "size"}},
+            {"predict", cmdPredict,
+             {"model", "network", "signature", "impute"}},
+            {"chaos", cmdChaos,
+             {"networks", "devices", "runs", "aggregator", "fault-seed",
+              "rates", "out"}},
+            {"profile", cmdProfile, {"network", "device"}},
+            {"serve", cmdServe,
+             {"model", "in", "out", "arrival-qps", "workers", "batch",
+              "queue", "cache", "shards"}},
+            {"loadgen", cmdLoadgen,
+             {"model", "requests", "seed", "mix", "pool",
+              "bulk-fraction", "out", "offered-qps", "workers", "batch",
+              "queue", "cache", "shards"}},
+            {"search", cmdSearch,
+             {"model", "cache", "shards", "budget-ms", "devices",
+              "device", "seed", "population", "generations", "elite",
+              "out"}},
+            {"fleet", cmdFleet,
+             {"fleet-size", "fleet-seed", "rounds", "cohort", "faults",
+              "networks", "runs", "cadence", "estimators", "holdout",
+              "max-regression", "requests", "workers", "sabotage",
+              "out"}},
+            {"list-networks", cmdListNetworks, {}},
+            {"list-devices", cmdListDevices, {}},
+        };
+        for (Command &c : commands)
+            c.flags.insert({"threads", "trace-out"});
+        return commands;
+    }();
+    for (const Command &c : kCommands) {
+        if (name == c.name)
+            return &c;
+    }
+    return nullptr;
 }
 
 void
@@ -728,7 +771,8 @@ usage()
         "  --threads N   worker threads (default: GCM_THREADS env,\n"
         "                else hardware concurrency); results are\n"
         "                bit-identical at any thread count\n"
-        "  a flag the command does not read is an error\n"
+        "  a flag the command does not accept is an error, found\n"
+        "                before the command runs\n"
         "  --trace-out FILE  enable observability and write the\n"
         "                gcm-perf-report/v1 JSON (span tree, pool\n"
         "                counters, latency histograms) after the\n"
@@ -748,7 +792,19 @@ main(int argc, char **argv)
     }
     const std::string cmd = argv[1];
     try {
-        const auto flags = parseFlags(argc, argv, 2);
+        const Command *command = findCommand(cmd);
+        if (command == nullptr) {
+            usage();
+            return 1;
+        }
+        // Every flag is checked before the command runs, so a typo
+        // never trains, writes or serves anything.
+        auto flags = parseFlags(argc, argv, 2);
+        flags.accepted = &command->flags;
+        for (const auto &[key, value] : flags.values) {
+            if (command->flags.count(key) == 0)
+                fatal("unknown flag --", key, " for this command");
+        }
         const std::string threads = flagOr(flags, "threads", "");
         if (!threads.empty())
             setThreads(static_cast<std::size_t>(std::stoul(threads)));
@@ -756,34 +812,7 @@ main(int argc, char **argv)
         if (!trace_out.empty())
             obs::setEnabled(true);
 
-        int rc = 1;
-        if (cmd == "dataset")
-            rc = cmdDataset(flags);
-        else if (cmd == "train")
-            rc = cmdTrain(flags);
-        else if (cmd == "predict")
-            rc = cmdPredict(flags);
-        else if (cmd == "chaos")
-            rc = cmdChaos(flags);
-        else if (cmd == "profile")
-            rc = cmdProfile(flags);
-        else if (cmd == "serve")
-            rc = cmdServe(flags);
-        else if (cmd == "loadgen")
-            rc = cmdLoadgen(flags);
-        else if (cmd == "search")
-            rc = cmdSearch(flags);
-        else if (cmd == "fleet")
-            rc = cmdFleet(flags);
-        else if (cmd == "list-networks")
-            rc = cmdListNetworks();
-        else if (cmd == "list-devices")
-            rc = cmdListDevices();
-        else {
-            usage();
-            return 1;
-        }
-        rejectUnreadFlags(flags);
+        const int rc = command->run(flags);
 
         if (!trace_out.empty()) {
             obs::writeReport(trace_out);
