@@ -115,35 +115,16 @@ BM_GbtPredict(benchmark::State &state)
 BENCHMARK(BM_GbtPredict);
 
 /**
- * Compiled-inference head-to-head: the same trained booster predicting
- * the same 2000x64 matrix through the node walker (predictRow per
- * row) versus the flat SoA engine (one blocked predictBatch). Both
- * are bit-identical by the ml/flat_ensemble.hh contract, so the gap
- * is pure representation + traversal + parallelism.
+ * The flat SoA engine alone: one blocked predictBatch over the same
+ * 2000x64 matrix as BM_GbtPredict, at 1 and 8 worker threads.
  */
-static void
-BM_NodePredict(benchmark::State &state)
-{
-    const auto ds = syntheticDataset(2000, 64, 2);
-    ml::GradientBoostedTrees model;
-    model.train(ds);
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (std::size_t i = 0; i < ds.numRows(); ++i)
-            acc += model.predictRow(ds.row(i));
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_NodePredict);
-
 static void
 BM_FlatPredict(benchmark::State &state)
 {
     const auto ds = syntheticDataset(2000, 64, 2);
     ml::GradientBoostedTrees model;
     model.train(ds);
-    const ml::FlatEnsemble flat = model.compile();
+    const ml::FlatEnsemble &flat = model.flat();
     setThreads(static_cast<std::size_t>(state.range(0)));
     std::vector<double> out(ds.numRows());
     for (auto _ : state) {

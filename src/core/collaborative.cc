@@ -5,6 +5,7 @@
 #include "core/signature.hh"
 #include "core/training_set.hh"
 #include "ml/metrics.hh"
+#include "obs/obs.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
 
@@ -38,20 +39,6 @@ CollaborativeSimulation::CollaborativeSimulation(
     }
 }
 
-void
-CollaborativeSimulation::fillRow(
-    std::vector<float> &row, std::size_t net_idx,
-    const std::vector<float> &sig_latencies) const
-{
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    GCM_ASSERT(row.size() == net_f + sig_latencies.size(),
-               "fillRow: row width mismatch");
-    std::copy(encodings_[net_idx].begin(), encodings_[net_idx].end(),
-              row.begin());
-    std::copy(sig_latencies.begin(), sig_latencies.end(),
-              row.begin() + static_cast<std::ptrdiff_t>(net_f));
-}
-
 double
 CollaborativeSimulation::anchorOf(std::size_t device_idx) const
 {
@@ -80,17 +67,22 @@ double
 CollaborativeSimulation::deviceR2(const ml::GradientBoostedTrees &model,
                                   std::size_t device_idx) const
 {
-    const std::size_t net_f = ctx_.encoder().numFeatures();
+    // One segmented batch over every network: the head of row n is
+    // its encoding, the tail this device's signature.
     const auto sig = signatureLatencies(device_idx);
     const double anchor = anchorOf(device_idx);
-    std::vector<float> row(net_f + sig.size());
-    std::vector<double> y_true, y_pred;
-    y_true.reserve(ctx_.numNetworks());
-    y_pred.reserve(ctx_.numNetworks());
-    for (std::size_t n = 0; n < ctx_.numNetworks(); ++n) {
-        fillRow(row, n, sig);
-        y_true.push_back(ctx_.latencyMs(device_idx, n));
-        y_pred.push_back(model.predictRow(row.data()) * anchor);
+    const std::size_t nets = ctx_.numNetworks();
+    std::vector<ml::FlatEnsemble::SegmentedRow> rows(nets);
+    for (std::size_t n = 0; n < nets; ++n)
+        rows[n] = {encodings_[n].data(), sig.data()};
+    std::vector<double> y_pred(nets);
+    model.flat().predictBatchSegmented(rows.data(), nets,
+                                       ctx_.encoder().numFeatures(),
+                                       y_pred.data());
+    std::vector<double> y_true(nets);
+    for (std::size_t n = 0; n < nets; ++n) {
+        y_true[n] = ctx_.latencyMs(device_idx, n);
+        y_pred[n] *= anchor;
     }
     return ml::r2Score(y_true, y_pred);
 }
@@ -142,11 +134,17 @@ CollaborativeSimulation::run(const CollaborativeConfig &config) const
         }
 
         ml::GradientBoostedTrees model(config.gbt);
-        model.train(pairDataset(encodings_, device_rows, rows));
+        {
+            const obs::TraceSpan fit_span("collab.fit");
+            model.train(pairDataset(encodings_, device_rows, rows));
+        }
 
         double sum_r2 = 0.0;
-        for (std::size_t k = 0; k <= t; ++k)
-            sum_r2 += deviceR2(model, order[k]);
+        {
+            const obs::TraceSpan score_span("collab.score");
+            for (std::size_t k = 0; k <= t; ++k)
+                sum_r2 += deviceR2(model, order[k]);
+        }
         CollaborativeStep step;
         step.num_devices = t + 1;
         step.avg_r2 = sum_r2 / static_cast<double>(t + 1);
@@ -236,7 +234,11 @@ CollaborativeSimulation::collaborativeR2ForDevice(
         }
     }
     ml::GradientBoostedTrees model(config.gbt);
-    model.train(pairDataset(encodings_, device_rows, rows));
+    {
+        const obs::TraceSpan fit_span("collab.fit");
+        model.train(pairDataset(encodings_, device_rows, rows));
+    }
+    const obs::TraceSpan score_span("collab.score");
     return deviceR2(model, device_idx);
 }
 

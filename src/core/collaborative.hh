@@ -88,10 +88,6 @@ class CollaborativeSimulation
         const;
 
   private:
-    /** Feature row: network encoding ++ signature latencies. */
-    void fillRow(std::vector<float> &row, std::size_t net_idx,
-                 const std::vector<float> &sig_latencies) const;
-
     /** Signature latencies of one device, anchor-rescaled. */
     std::vector<float> signatureLatencies(std::size_t device_idx) const;
 

@@ -135,29 +135,7 @@ SignatureCostModel::predictMs(
     encoder_->encodeInto(network, row.data());
     const double anchor = finishQueryRow(signature_latencies_ms,
                                          row.data());
-    // Compiled and node-walker paths are bit-identical by the
-    // ml/flat_ensemble.hh contract, so hot-path callers may compile()
-    // without changing any prediction.
-    const double raw = flat_ ? flat_->predictRow(row.data())
-                             : booster_.predictRow(row.data());
-    return raw * anchor;
-}
-
-void
-SignatureCostModel::compile()
-{
-    if (!flat_) {
-        flat_ = std::make_shared<const ml::FlatEnsemble>(
-            booster_.compile());
-    }
-}
-
-const ml::FlatEnsemble &
-SignatureCostModel::flat() const
-{
-    GCM_ASSERT(flat_ != nullptr,
-               "SignatureCostModel::flat: compile() not called");
-    return *flat_;
+    return flat().predictRow(row.data()) * anchor;
 }
 
 std::size_t

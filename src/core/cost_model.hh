@@ -108,18 +108,11 @@ class SignatureCostModel
         const;
 
     /**
-     * Compile the booster into its flat SoA inference form
-     * (ml/flat_ensemble.hh). Idempotent; predictMs and the batched
-     * query path below route through the compiled ensemble once this
-     * has run — bit-identical to the node walker by contract. The
-     * serving ModelRegistry calls this at snapshot load.
+     * The booster's flat inference form (ml/flat_ensemble.hh), built
+     * when the booster was trained or loaded; predictMs and the
+     * batched query path below both predict through it.
      */
-    void compile();
-
-    bool compiled() const { return flat_ != nullptr; }
-
-    /** The compiled ensemble. @pre compiled() */
-    const ml::FlatEnsemble &flat() const;
+    const ml::FlatEnsemble &flat() const { return booster_.flat(); }
 
     /** Booster row width: network features + signature slots. */
     std::size_t featureWidth() const;
@@ -182,8 +175,6 @@ class SignatureCostModel
     std::vector<std::size_t> signature_;
     std::vector<std::string> signatureNames_;
     ml::GradientBoostedTrees booster_;
-    /** Compiled booster (compile()); shared so snapshots stay cheap. */
-    std::shared_ptr<const ml::FlatEnsemble> flat_;
 };
 
 } // namespace gcm::core

@@ -54,7 +54,7 @@ score(const ml::GradientBoostedTrees &model, const ml::BlockedDataset &test,
 {
     ModelEvaluation eval;
     eval.y_true = test.labels();
-    eval.y_pred = predictPairs(model.compile(), test);
+    eval.y_pred = predictPairs(model.flat(), test);
     for (std::size_t i = 0; i < anchors.size(); ++i) {
         eval.y_true[i] *= anchors[i];
         eval.y_pred[i] *= anchors[i];

@@ -18,27 +18,27 @@
  * pointer chase, and predictBatch() walks a whole row block through
  * one tree at a time so the tree's nodes stay cache-resident.
  *
- * Bit-identity contract (the serving extension of the PR-2 rule)
- * --------------------------------------------------------------
- * FlatEnsemble output is bit-identical to the node-walker paths it
- * replaces, at any GCM_THREADS. The accumulation order is pinned
- * HERE, in one place; every other predict path is defined by
- * reference to it:
+ * Bit-identity contract
+ * ---------------------
+ * FlatEnsemble is a trained ensemble's one inference form. Its output
+ * is bit-identical, at any GCM_THREADS, to a reference defined over
+ * the source trees: each tree's RegressionTree::predictRow (the one
+ * per-row node walker), summed as below. tests/test_flat_ensemble.cc
+ * computes that sum locally and compares bit patterns. The
+ * accumulation order is pinned HERE, in one place:
  *
  *  1. Leaf values are float (TreeNode::value); each traversal yields
- *     exactly the leaf the node walker reaches. `!(x <= t)` is used
- *     rather than `x > t` so a NaN feature falls right, exactly like
- *     the walker's `x <= t ? left : right`.
+ *     exactly the leaf RegressionTree::predictRow reaches. `!(x <= t)`
+ *     is used rather than `x > t` so a NaN feature falls right,
+ *     exactly like the walker's `x <= t ? left : right`.
  *  2. Per row, leaf values are accumulated into a double, in tree
  *     order t = 0, 1, ..., starting from the base score
  *     (GradientBoostedTrees::baseScore(), 0.0 for RandomForest):
- *         acc = base; for t: acc += (double)leaf_t(x);
- *     This is the exact operation sequence of
- *     GradientBoostedTrees::predictRow / RandomForest::predictRow,
- *     whose double-accumulation-over-float-leaves behaviour is
- *     thereby contractual, not incidental.
+ *         acc = base; for t: acc += (double)tree_t.predictRow(x);
+ *     The double-accumulation-over-float-leaves behaviour is thereby
+ *     contractual, not incidental.
  *  3. Combine::Mean performs one final division by the tree count
- *     (as double), matching RandomForest::predictRow.
+ *     (as double).
  *  4. predictBatch blocks rows and iterates trees outermost within a
  *     block, but each row keeps its own accumulator, so the per-row
  *     operation sequence of (2) is unchanged. Blocks are fixed-size
@@ -91,7 +91,7 @@ class FlatEnsemble
 
     /**
      * Predict one row of raw feature values — bit-identical to the
-     * source ensemble's predictRow (see the file contract).
+     * reference sum of the file contract.
      */
     double predictRow(const float *x) const;
 

@@ -1,12 +1,10 @@
 #include "ml/gbt.hh"
 
-#include <cmath>
 #include <istream>
 #include <limits>
 #include <numeric>
 #include <ostream>
 
-#include "ml/metrics.hh"
 #include "obs/obs.hh"
 #include "util/error.hh"
 #include "util/parallel.hh"
@@ -41,33 +39,21 @@ void
 GradientBoostedTrees::train(const Dataset &data)
 {
     const obs::TraceSpan train_span("gbt.train");
-    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
-              nullptr);
+    trainImpl(binForTraining(data, params_.max_bins), data.labels());
 }
 
 void
 GradientBoostedTrees::train(const BlockedDataset &data)
 {
     const obs::TraceSpan train_span("gbt.train");
-    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
-              nullptr);
-}
-
-void
-GradientBoostedTrees::train(const Dataset &data, const Dataset &eval)
-{
-    const obs::TraceSpan train_span("gbt.train");
-    trainImpl(binForTraining(data, params_.max_bins), data.labels(),
-              &eval);
+    trainImpl(binForTraining(data, params_.max_bins), data.labels());
 }
 
 void
 GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
-                                const std::vector<double> &labels,
-                                const Dataset *eval)
+                                const std::vector<double> &labels)
 {
     trees_.clear();
-    evalHistory_.clear();
     featureGain_.assign(binned.numFeatures(), 0.0);
 
     const std::size_t n = binned.numRows();
@@ -87,9 +73,6 @@ GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
     tree_cfg.min_child_weight = params_.min_child_weight;
 
     Rng rng(params_.seed);
-    std::vector<double> eval_preds;
-    if (eval)
-        eval_preds.assign(eval->numRows(), baseScore_);
 
     std::vector<double> tree_gain;
     // Boosting is sequential across rounds (each tree fits the
@@ -144,45 +127,24 @@ GradientBoostedTrees::trainImpl(const BinnedMatrix &binned,
             });
         }
 
-        if (eval) {
-            const obs::TraceSpan eval_span("gbt.eval");
-            parallelFor(0, eval->numRows(), walk_grain,
-                        [&](std::size_t i) {
-                eval_preds[i] += tree.predictRow(eval->row(i));
-            });
-            evalHistory_.push_back(rmse(eval->labels(), eval_preds));
-        }
-
         trees_.push_back(std::move(tree));
     }
-}
-
-double
-GradientBoostedTrees::predictRow(const float *x) const
-{
-    GCM_ASSERT(trained_, "GBT: predict before train");
-    double v = baseScore_;
-    for (const auto &tree : trees_)
-        v += tree.predictRow(x);
-    return v;
+    flat_ = FlatEnsemble::compile(trees_, baseScore_,
+                                  FlatEnsemble::Combine::Sum);
 }
 
 std::vector<double>
 GradientBoostedTrees::predict(const Dataset &data) const
 {
-    // Batch predict through the compiled form: bit-identical to the
-    // per-row node walker (ml/flat_ensemble.hh contract), one blocked
-    // sweep instead of a pointer chase per row.
     const obs::TraceSpan span("gbt.predict");
-    return compile().predict(data);
+    return flat().predict(data);
 }
 
-FlatEnsemble
-GradientBoostedTrees::compile() const
+const FlatEnsemble &
+GradientBoostedTrees::flat() const
 {
-    GCM_ASSERT(trained_, "GBT: compile before train");
-    return FlatEnsemble::compile(trees_, baseScore_,
-                                 FlatEnsemble::Combine::Sum);
+    GCM_ASSERT(trained_, "GBT: predict before train");
+    return flat_;
 }
 
 void
@@ -246,6 +208,8 @@ GradientBoostedTrees::deserialize(std::istream &is)
         }
     }
     model.trained_ = true;
+    model.flat_ = FlatEnsemble::compile(model.trees_, model.baseScore_,
+                                        FlatEnsemble::Combine::Sum);
     return model;
 }
 

@@ -53,36 +53,22 @@ class GradientBoostedTrees
     void train(const BlockedDataset &data);
 
     /**
-     * Fit with a held-out evaluation set; records RMSE on it after
-     * every boosting round (see evalHistory()).
-     */
-    void train(const Dataset &data, const Dataset &eval);
-
-    /**
-     * Predict one row of raw feature values (node walker). The
-     * double-over-float accumulation order is contractual — see the
-     * bit-identity contract in ml/flat_ensemble.hh.
-     */
-    double predictRow(const float *x) const;
-
-    /**
-     * Predict every row of a dataset. Routed through a compiled
-     * FlatEnsemble; bit-identical to predictRow per row.
+     * Predict every row of a dataset through flat(). @pre trained
      */
     std::vector<double> predict(const Dataset &data) const;
 
     /**
-     * Compile the trained booster into its flat SoA inference form
-     * (Combine::Sum from baseScore()). @pre trained()
+     * The booster's one inference form (Combine::Sum from
+     * baseScore()), built once at the end of train() and
+     * deserialize(). @pre trained
      */
-    FlatEnsemble compile() const;
+    const FlatEnsemble &flat() const;
 
-    bool trained() const { return !trees_.empty() || trained_; }
+    /** The trained trees, in boosting order. */
+    const std::vector<RegressionTree> &trees() const { return trees_; }
+
     std::size_t numTrees() const { return trees_.size(); }
     double baseScore() const { return baseScore_; }
-
-    /** Per-round eval RMSE (empty unless the eval overload was used). */
-    const std::vector<double> &evalHistory() const { return evalHistory_; }
 
     /** Total split gain attributed to each feature. */
     const std::vector<double> &featureImportance() const
@@ -104,14 +90,14 @@ class GradientBoostedTrees
 
   private:
     void trainImpl(const BinnedMatrix &binned,
-                   const std::vector<double> &labels, const Dataset *eval);
+                   const std::vector<double> &labels);
 
     GbtParams params_;
     double baseScore_ = 0.0;
     bool trained_ = false;
     std::vector<RegressionTree> trees_;
     std::vector<double> featureGain_;
-    std::vector<double> evalHistory_;
+    FlatEnsemble flat_;
 };
 
 } // namespace gcm::ml

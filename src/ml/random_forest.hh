@@ -9,7 +9,6 @@
 #define GCM_ML_RANDOM_FOREST_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/dataset.hh"
@@ -40,16 +39,7 @@ class RandomForest
 
     void train(const Dataset &data);
 
-    /**
-     * Predict one row (node walker); accumulation order is pinned by
-     * the bit-identity contract in ml/flat_ensemble.hh.
-     */
-    double predictRow(const float *x) const;
-
-    /**
-     * Predict every row of a dataset, routed through a compiled
-     * FlatEnsemble; bit-identical to predictRow per row.
-     */
+    /** Predict every row of a dataset through compile(). */
     std::vector<double> predict(const Dataset &data) const;
 
     /**
@@ -58,19 +48,11 @@ class RandomForest
      */
     FlatEnsemble compile() const;
 
+    /** The trained trees, in bagging order. */
+    const std::vector<RegressionTree> &trees() const { return trees_; }
+
     std::size_t numTrees() const { return trees_.size(); }
     const RandomForestParams &params() const { return params_; }
-
-    /**
-     * Serialize the trained forest to a self-describing text format
-     * ("gcm-rf v1"), mirroring GradientBoostedTrees::serialize so the
-     * serving-layer ModelRegistry can snapshot either backend. Exact
-     * round trip (floats written with full precision).
-     */
-    void serialize(std::ostream &os) const;
-
-    /** Load a forest written by serialize(). Throws GcmError. */
-    static RandomForest deserialize(std::istream &is);
 
   private:
     RandomForestParams params_;

@@ -71,9 +71,10 @@ class RegressionTree
     {}
 
     /**
-     * Predict from raw feature values. Leaves are float; ensemble
-     * callers accumulate them into a double in tree order — an order
-     * that is contractual, pinned in ml/flat_ensemble.hh.
+     * Predict from raw feature values: the one per-row node walker,
+     * the reference FlatEnsemble is checked against. Leaves are
+     * float; the ensemble sum over them (double, in tree order) is
+     * pinned in ml/flat_ensemble.hh.
      */
     double predictRow(const float *x) const;
 

@@ -37,7 +37,6 @@ ModelSnapshot
 ModelSnapshot::fromCostModel(core::SignatureCostModel model)
 {
     ModelSnapshot snap;
-    model.compile();
     snap.cost_model_ = std::make_unique<core::SignatureCostModel>(
         std::move(model));
     return snap;

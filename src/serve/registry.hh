@@ -33,26 +33,21 @@ namespace gcm::serve
 {
 
 /**
- * One immutable loaded model.
- *
- * Snapshot construction is where the ensemble gets compiled: both
- * factories flatten the cost model's booster into a ml::FlatEnsemble
- * (bit-identical by the ml/flat_ensemble.hh contract) before the
- * snapshot is frozen, so every published snapshot carries a ready
- * compiled engine and the serving hot path never touches the
- * node-walking training structures.
+ * One immutable loaded model. Its booster already carries its
+ * ml::FlatEnsemble (built when the booster was trained or loaded), so
+ * the serving hot path predicts through SignatureCostModel::flat()
+ * and the snapshot holds no second copy of the ensemble.
  */
 class ModelSnapshot
 {
   public:
     /**
      * Load a snapshot from a serialized `gcm-cost-model v1` stream.
-     * Throws GcmError for any other header or malformed content. The
-     * model is compiled before the snapshot is returned.
+     * Throws GcmError for any other header or malformed content.
      */
     static ModelSnapshot fromStream(std::istream &is);
 
-    /** Wrap (and compile) an already-constructed cost model. */
+    /** Wrap an already-constructed cost model. */
     static ModelSnapshot fromCostModel(core::SignatureCostModel model);
 
     const core::SignatureCostModel &costModel() const

@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "ml/knn.hh"
 #include "ml/linear.hh"
 #include "ml/metrics.hh"
 #include "ml/mlp.hh"
 #include "ml/random_forest.hh"
-#include "util/error.hh"
 #include "util/rng.hh"
 
 using namespace gcm::ml;
@@ -80,48 +78,6 @@ TEST(RandomForest, NumTrees)
     RandomForest model(p);
     model.train(linearData(100, 0.1, 5));
     EXPECT_EQ(model.numTrees(), 7u);
-}
-
-TEST(RandomForest, SerializeRoundTripIsExact)
-{
-    RandomForestParams p;
-    p.n_trees = 25;
-    RandomForest model(p);
-    const auto train = nonlinearData(400, 0.05, 6);
-    const auto test = nonlinearData(80, 0.0, 7);
-    model.train(train);
-
-    std::stringstream ss;
-    model.serialize(ss);
-    const auto loaded = RandomForest::deserialize(ss);
-
-    EXPECT_EQ(loaded.numTrees(), model.numTrees());
-    EXPECT_EQ(loaded.params().n_trees, model.params().n_trees);
-    EXPECT_EQ(loaded.params().max_depth, model.params().max_depth);
-    EXPECT_DOUBLE_EQ(loaded.params().feature_fraction,
-                     model.params().feature_fraction);
-    EXPECT_EQ(loaded.params().bootstrap, model.params().bootstrap);
-    EXPECT_EQ(loaded.predict(test), model.predict(test));
-}
-
-TEST(RandomForest, DeserializeRejectsGarbage)
-{
-    std::stringstream ss("definitely not a forest");
-    EXPECT_THROW((void)RandomForest::deserialize(ss), gcm::GcmError);
-}
-
-TEST(RandomForest, DeserializeRejectsTruncatedStream)
-{
-    RandomForestParams p;
-    p.n_trees = 10;
-    RandomForest model(p);
-    model.train(linearData(100, 0.1, 8));
-    std::stringstream ss;
-    model.serialize(ss);
-    std::string text = ss.str();
-    text.resize(text.size() / 2);
-    std::stringstream cut(text);
-    EXPECT_THROW((void)RandomForest::deserialize(cut), gcm::GcmError);
 }
 
 TEST(Knn, ExactNeighborLookup)

@@ -105,22 +105,12 @@ TEST(Gbt, MultiFeatureSelectsInformativeFeature)
     EXPECT_GT(imp[1], 10.0 * std::max(imp[0], imp[2]));
 }
 
-TEST(Gbt, EvalHistoryImprovesOnHeldOut)
-{
-    const auto train = functionDataset(1500, square, 0.05, 9);
-    const auto eval = functionDataset(300, square, 0.05, 10);
-    GradientBoostedTrees model;
-    model.train(train, eval);
-    const auto &hist = model.evalHistory();
-    ASSERT_EQ(hist.size(), model.params().n_estimators);
-    EXPECT_LT(hist.back(), 0.5 * hist.front());
-}
-
 TEST(Gbt, PredictBeforeTrainAborts)
 {
     GradientBoostedTrees model;
     float x = 0.0f;
-    EXPECT_DEATH((void)model.predictRow(&x), "predict before train");
+    EXPECT_DEATH((void)model.flat().predictRow(&x),
+                 "predict before train");
 }
 
 TEST(Gbt, ConstantTargetPredictsConstant)
@@ -131,7 +121,7 @@ TEST(Gbt, ConstantTargetPredictsConstant)
     GradientBoostedTrees model;
     model.train(ds);
     const float x = 3.0f;
-    EXPECT_NEAR(model.predictRow(&x), 7.5, 1e-9);
+    EXPECT_NEAR(model.flat().predictRow(&x), 7.5, 1e-9);
 }
 
 TEST(Gbt, GammaPrunesWeakSplits)
@@ -144,7 +134,7 @@ TEST(Gbt, GammaPrunesWeakSplits)
     GradientBoostedTrees model(p);
     model.train(train);
     const float x = 2.0f;
-    EXPECT_NEAR(model.predictRow(&x), model.baseScore(), 1e-9);
+    EXPECT_NEAR(model.flat().predictRow(&x), model.baseScore(), 1e-9);
 }
 
 TEST(Gbt, SubsampleStillLearns)

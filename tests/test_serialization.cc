@@ -13,7 +13,6 @@
 
 #include "core/cost_model.hh"
 #include "ml/gbt.hh"
-#include "ml/random_forest.hh"
 #include "serve/registry.hh"
 #include "testing_support.hh"
 #include "util/error.hh"
@@ -110,35 +109,21 @@ gbtText()
     return os.str();
 }
 
-std::string
-forestText()
-{
-    ml::RandomForestParams p;
-    p.n_trees = 3;
-    ml::RandomForest rf(p);
-    rf.train(waveDataset(100, 6));
-    std::ostringstream os;
-    rf.serialize(os);
-    return os.str();
-}
-
-/** Both bare-regressor parsers reject `edit` of their own artifact. */
+/** The bare booster parser rejects `edit` of its own artifact. */
 template <typename Edit>
 void
-expectRegressorsReject(Edit edit)
+expectBoosterRejects(Edit edit)
 {
     std::istringstream g(edit(gbtText()));
     EXPECT_THROW((void)ml::GradientBoostedTrees::deserialize(g),
                  GcmError);
-    std::istringstream r(edit(forestText()));
-    EXPECT_THROW((void)ml::RandomForest::deserialize(r), GcmError);
 }
 
 } // namespace
 
 TEST(Serialization, HugeTreeCountIsRejected)
 {
-    expectRegressorsReject([](const std::string &text) {
+    expectBoosterRejects([](const std::string &text) {
         return withCount(text, "trees", "4000000000");
     });
 }
@@ -155,7 +140,7 @@ TEST(Serialization, MalformedTreesAreRejected)
     for (const std::string &root : {self_loop, shared, orphans}) {
         SCOPED_TRACE(root);
         expectRejected(withRootNode(model, root));
-        expectRegressorsReject([&](const std::string &text) {
+        expectBoosterRejects([&](const std::string &text) {
             return withRootNode(text, root);
         });
     }

@@ -26,7 +26,6 @@
 #include "dnn/zoo.hh"
 #include "ml/gbt.hh"
 #include "obs/obs.hh"
-#include "ml/random_forest.hh"
 #include "search/genome_ops.hh"
 #include "serve/cache.hh"
 #include "serve/frontend.hh"
@@ -189,8 +188,8 @@ TEST(Registry, SniffsAllThreeModelKinds)
                   .signatureNames(),
               testModel().signatureNames());
 
-    // ...but bare GBT and RF regressors answer feature rows, not
-    // (network, device) queries, so the registry rejects them.
+    // ...but a bare GBT regressor answers feature rows, not
+    // (network, device) queries, so the registry rejects it.
     Rng rng(11);
     ml::Dataset ds(2);
     for (int i = 0; i < 200; ++i) {
@@ -203,12 +202,6 @@ TEST(Registry, SniffsAllThreeModelKinds)
     std::stringstream gs;
     gbt.serialize(gs);
     EXPECT_THROW((void)serve::ModelSnapshot::fromStream(gs), GcmError);
-
-    ml::RandomForest rf;
-    rf.train(ds);
-    std::stringstream rs;
-    rf.serialize(rs);
-    EXPECT_THROW((void)serve::ModelSnapshot::fromStream(rs), GcmError);
 
     std::stringstream garbage("not a model at all");
     EXPECT_THROW((void)serve::ModelSnapshot::fromStream(garbage),

@@ -119,10 +119,12 @@ echo "check.sh: clean under ASan+UBSan with -Wall -Wextra -Werror"
 
 # --- TSan lane: the tests that exercise the parallel execution layer.
 # test_cost_model and test_evaluation fit on blocked (network ×
-# device) datasets, whose histograms run on the pool.
+# device) datasets, whose histograms run on the pool;
+# test_collaborative scores each device with one parallel
+# predictBatchSegmented call.
 PARALLEL_TESTS=(test_parallel test_tree test_gbt test_baselines
                 test_campaign test_cross_validation test_signature
-                test_cost_model test_evaluation
+                test_cost_model test_evaluation test_collaborative
                 test_obs test_obs_determinism test_faults test_serve
                 test_flat_ensemble test_search test_fleet)
 
