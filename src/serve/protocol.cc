@@ -9,68 +9,107 @@
 namespace gcm::serve
 {
 
+namespace
+{
+
+/** A string value into `out`; false (skipping it) for any other. */
+bool
+readString(json::Reader &r, std::string &out)
+{
+    if (r.peek() == json::Value::Kind::String) {
+        r.readString(out);
+        return true;
+    }
+    r.skipValue();
+    return false;
+}
+
+/** Member `key`'s value into `req`: "" or its bad_request message. */
+std::string
+readField(json::Reader &r, const std::string &key, ServeRequest &req)
+{
+    if (key == "id")
+        return readString(r, req.id) ? "" : "field 'id' must be a string";
+    for (const auto &[name, field] :
+         {std::pair{"network", &ServeRequest::network},
+          std::pair{"graph", &ServeRequest::graph_text},
+          std::pair{"device", &ServeRequest::device}}) {
+        if (key == name) {
+            if (readString(r, req.*field) && !(req.*field).empty())
+                return "";
+            return "field '" + key + "' must be a non-empty string";
+        }
+    }
+    if (key == "priority") {
+        std::string name;
+        if (readString(r, name) && (name == "bulk" || name == "interactive")) {
+            req.priority =
+                name == "bulk" ? Priority::Bulk : Priority::Interactive;
+            return "";
+        }
+        return "field 'priority' must be \"interactive\" or \"bulk\"";
+    }
+    if (key != "signature") {
+        r.skipValue();
+        return "unknown field '" + key + "'";
+    }
+    if (r.peek() != json::Value::Kind::Array) {
+        r.skipValue();
+        return "field 'signature' must be an array of numbers";
+    }
+    bool numbers = true;
+    req.has_signature = true;
+    req.signature.reserve(16); // the paper's signatures hold 10
+    r.beginArray();
+    while (r.nextElement()) {
+        numbers = numbers && r.peek() == json::Value::Kind::Number;
+        if (numbers)
+            req.signature.push_back(r.readNumber());
+        else
+            r.skipValue();
+    }
+    return numbers ? "" : "field 'signature' must contain only numbers";
+}
+
+} // namespace
+
 std::string
 tryParseRequest(const std::string &line, ServeRequest &out)
 {
     if (line.size() > kMaxRequestLineBytes)
         return oversizedLineMessage(line.size());
-    json::Value doc;
+    // Every member is read before a schema error is answered, so a
+    // grammar error anywhere wins; among schema errors, the first key
+    // in byte order wins (see the header).
+    ServeRequest req;
+    std::string error, error_key;
     try {
-        doc = json::parseJson(line);
+        json::Reader r(line);
+        if (r.peek() != json::Value::Kind::Object) {
+            r.skipValue();
+            r.finish();
+            return "request must be a JSON object";
+        }
+        r.beginObject();
+        for (std::string key; r.nextKey(key);) {
+            std::string problem = readField(r, key, req);
+            if (!problem.empty() && (error.empty() || key < error_key)) {
+                error = std::move(problem);
+                error_key = key;
+            }
+        }
+        r.finish();
     } catch (const GcmError &e) {
         return e.what();
     }
-    if (!doc.isObject())
-        return "request must be a JSON object";
-    if (doc.has("id") && doc.at("id").isString())
-        out.id = doc.at("id").str;
-
-    // The document is ours: strings move into the request, so an
-    // inline graph's text is copied once, by the JSON parser.
-    for (auto &[key, value] : doc.object) {
-        if (key == "id") {
-            if (!value.isString())
-                return "field 'id' must be a string";
-        } else if (key == "network") {
-            if (!value.isString() || value.str.empty())
-                return "field 'network' must be a non-empty string";
-            out.network = std::move(value.str);
-        } else if (key == "graph") {
-            if (!value.isString() || value.str.empty())
-                return "field 'graph' must be a non-empty string";
-            out.graph_text = std::move(value.str);
-        } else if (key == "device") {
-            if (!value.isString() || value.str.empty())
-                return "field 'device' must be a non-empty string";
-            out.device = std::move(value.str);
-        } else if (key == "priority") {
-            if (!value.isString())
-                return "field 'priority' must be \"interactive\" or "
-                       "\"bulk\"";
-            if (value.str == "interactive") {
-                out.priority = Priority::Interactive;
-            } else if (value.str == "bulk") {
-                out.priority = Priority::Bulk;
-            } else {
-                return "field 'priority' must be \"interactive\" or "
-                       "\"bulk\"";
-            }
-        } else if (key == "signature") {
-            if (!value.isArray())
-                return "field 'signature' must be an array of numbers";
-            out.signature.reserve(value.array.size());
-            for (const auto &v : value.array) {
-                if (!v.isNumber())
-                    return "field 'signature' must contain only "
-                           "numbers";
-                out.signature.push_back(v.number);
-            }
-            out.has_signature = true;
-        } else {
-            return "unknown field '" + key + "'";
-        }
+    if (error.empty()) {
+        out = std::move(req);
+        return "";
     }
-    return "";
+    out.id = std::move(req.id);
+    if (error_key > "priority")
+        out.priority = req.priority;
+    return error;
 }
 
 std::string

@@ -43,7 +43,11 @@
  * Untrusted-input contract: any line — malformed JSON, unknown
  * fields, wrong types, oversized lines (> kMaxRequestLineBytes),
  * non-finite numbers — yields a structured error *response*, never an
- * exception out of the loop and never a crash.
+ * exception out of the loop and never a crash. A line with several
+ * faults gets one message: a JSON grammar error anywhere on the line
+ * wins (the whole line is read first), then the schema error of the
+ * first failing key in byte order (unknown keys included), whatever
+ * the order of the keys on the line.
  *
  * Admission control and batching live in the multi-worker front end
  * (frontend.hh), the one serving path; this header holds the wire
@@ -66,11 +70,14 @@ namespace gcm::serve
 inline constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
 
 /**
- * Parse one request line into `out`. Returns an empty string on
- * success, else the message of its "bad_request" response; never
- * throws. `out.id` is filled whenever the line was valid JSON
- * carrying a string id, so even schema-violating requests get their
- * id echoed back.
+ * Parse one request line, read straight off a json::Reader, into
+ * `out`. Returns an empty string on success, else the message of its
+ * "bad_request" response; never throws. A line that is not a JSON
+ * object leaves `out` untouched. Any other failed line sets `out.id`
+ * to its string id (or ""), so even schema-violating requests get
+ * their id echoed back, and `out.priority` to a valid priority whose
+ * key sorts before the failing one (the front end queues the error
+ * response by it).
  */
 std::string tryParseRequest(const std::string &line, ServeRequest &out);
 
