@@ -10,7 +10,8 @@
 #      run its self-tests and one short serve-unseen run, which must
 #      exit 0 and report "correct": true;
 #   3. build everything with warnings-as-errors under ASan+UBSan and
-#      run the tier-1 test suite;
+#      run the tier-1 test suite, then the request-reader oracle on
+#      ten freshly seeded mutation corpora;
 #   4. rebuild the parallel-path tests under TSan (address and thread
 #      sanitizers are mutually exclusive, hence the second build tree)
 #      and run them with a worker pool forced on via GCM_THREADS,
@@ -114,6 +115,13 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     cd "$BUILD"
     ctest --output-on-failure -j "$JOBS" "$@"
 )
+
+# The request reader against its tree-walking oracle on ten fresh
+# corpora: under --gtest_shuffle the test seeds its mutator from
+# gtest's random seed, which gtest prints and advances per repeat, so
+# a failure reproduces with --gtest_random_seed=<printed seed>.
+"$BUILD/tests/test_protocol" --gtest_filter='Protocol.ReaderMatchesDomOracle' \
+    --gtest_repeat=10 --gtest_shuffle
 
 echo "check.sh: clean under ASan+UBSan with -Wall -Wextra -Werror"
 
